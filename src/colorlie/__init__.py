@@ -6,7 +6,7 @@ that for perfect centerless algebras the n-derivations are ordinary
 derivations and the n-derivations of the derivation algebra are inner.
 """
 
-from .algebra import AxiomReport, ColorAlgebra, check_color_axioms
+from .algebra import AxiomReport, ColorAlgebra
 from .catalog import get as catalog_get
 from .fileio import parse_algebra, serialize_algebra
 from .derivations import (
@@ -27,15 +27,8 @@ from .derivations import (
     verify_nder_equals_der,
     verify_second_statement,
 )
-from .grading import Bicharacter, GradingGroup, GroupElement, validate_bicharacter
-from .linalg import (
-    MatrixExact,
-    Subspace,
-    subspace_contains,
-    subspace_equal,
-    subspace_intersect,
-    subspace_sum,
-)
+from .grading import Bicharacter, GradingGroup, GroupElement
+from .linalg import MatrixExact, Subspace
 from .scalars import CycloScalar, Rational, format_scalar, parse_scalar
 
 __all__ = [
@@ -52,7 +45,6 @@ __all__ = [
     "Subspace",
     "ad",
     "catalog_get",
-    "check_color_axioms",
     "delta",
     "derivation_color_algebra",
     "format_scalar",
@@ -63,11 +55,6 @@ __all__ = [
     "map_bracket",
     "n_derivation_space",
     "parse_scalar",
-    "subspace_contains",
-    "subspace_equal",
-    "subspace_intersect",
-    "subspace_sum",
-    "validate_bicharacter",
     "verify_ad_compat",
     "verify_centralizer_trivial",
     "verify_closure",

@@ -95,10 +95,6 @@ def _fingerprint(a) -> str:
     return hashlib.sha256(serialize_algebra(a).encode("utf-8")).hexdigest()
 
 
-def _degree_list(a):
-    return [list(g.residues) for g in a.group.elements()]
-
-
 def _emit(report: dict, lines: list[str], as_json: bool, started: float) -> str:
     if as_json:
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -262,7 +258,7 @@ def run(argv) -> tuple[int, str]:
         suffix = f" (at {loc})" if loc is not None else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return 2, ""
-    except (OSError, KeyError) as exc:
+    except (OSError, KeyError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
 

@@ -8,8 +8,12 @@ An n-derivation D satisfies, on every n-tuple of homogeneous elements,
               [[..[x1, .., D(x_i)], .., xn]
 
 (the i = 1 term has no twist). Because the twist presupposes a degree for
-D, spaces are computed as direct sums of homogeneous blocks over all of
-the (finite) grading group; the full space is the span of the blocks.
+D, spaces are computed as direct sums of homogeneous blocks, one per
+degree of the (finite) grading group; the full space is the span of the
+blocks. A degree-gamma map can be nonzero only at coordinates (k, j) with
+deg e_k - deg e_j = gamma, so only the degrees of that support (at most
+d*d, read from ``ColorAlgebra.degree_table``) get a linear system; every
+other degree holds the zero space.
 
 Two independent routes exist on purpose: ``n_derivation_space`` assembles
 one linear system per degree and takes its kernel, while
@@ -47,19 +51,9 @@ def block_coordinates(a: ColorAlgebra, gamma: GroupElement) -> tuple:
     """Matrix coordinates (k, j) a degree-gamma map may occupy: deg k = gamma + deg j.
 
     Every (k, j) belongs to exactly one degree, so the blocks partition the
-    d*d coordinate space.
+    d*d coordinate space; degrees off the support get ().
     """
-    key = ("block_coords", gamma)
-    coords = a._cache.get(key)
-    if coords is None:
-        coords = tuple(
-            (k, j)
-            for k in range(a.dim)
-            for j in range(a.dim)
-            if a.degrees[k] == gamma + a.degrees[j]
-        )
-        a._cache[key] = coords
-    return coords
+    return a.degree_table().blocks.get(gamma, ())
 
 
 class GradedMap:
@@ -75,9 +69,10 @@ class GradedMap:
         d = algebra.dim
         if len(matrix) != d or any(len(row) != d for row in matrix):
             raise ValueError(f"matrix must be {d}x{d}")
+        differences = algebra.degree_table().differences
         for k in range(d):
             for j in range(d):
-                if matrix[k][j] and algebra.degrees[k] != degree + algebra.degrees[j]:
+                if matrix[k][j] and differences[k][j] != degree:
                     raise ValueError(
                         f"entry ({k}, {j}) violates the degree-{degree} block support"
                     )
@@ -196,14 +191,20 @@ def ad(a: ColorAlgebra, x) -> GradedMap:
 
 
 class DerivationSpace:
-    """A per-degree direct sum of graded-map spaces; blocks cover all of the group."""
+    """A per-degree direct sum of graded-map spaces; blocks cover all of the group.
+
+    ``blocks`` may leave out degrees; each one left out holds one shared zero
+    space of ambient dimension 0, as every degree off the support does.
+    """
 
     __slots__ = ("algebra", "n", "blocks")
 
-    def __init__(self, algebra: ColorAlgebra, n: int, blocks):
+    def __init__(self, algebra: ColorAlgebra, n: int, blocks: dict):
+        empty = Subspace.zero(0, algebra.conductor)
+        blocks = {gamma: blocks.get(gamma, empty) for gamma in algebra.group.elements()}
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", dict(blocks))
+        object.__setattr__(self, "blocks", blocks)
 
     def __setattr__(self, name, value):
         raise AttributeError("DerivationSpace is immutable")
@@ -292,32 +293,33 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     m = a.conductor
     zero = CycloScalar.zero(m)
     table = _basis_bracket_table(a, n)
+    # the twist at position i depends only on the degree of the prefix t[:i];
+    # number the prefix degrees that occur, so each block twists by lookup
+    position = {}
+    prefixes = {}
+    for t in product(range(d), repeat=n):
+        s = a.group.zero()
+        indices = []
+        for j in t:
+            indices.append(position.setdefault(s, len(position)))
+            s = s + a.degrees[j]
+        prefixes[t] = indices
     blocks = {}
-    for gamma in a.group.elements():
-        coords = block_coordinates(a, gamma)
+    for gamma, coords in a.degree_table().blocks.items():
         index = {kj: pos for pos, kj in enumerate(coords)}
-        if not coords:
-            blocks[gamma] = Subspace.zero(0, m)
-            continue
         kset = [
             [k for k in range(d) if (k, j) in index] for j in range(d)
         ]
-        eps_by_deg = {g: a.bichar.eps(gamma, g) for g in a.group.elements()}
+        eps = [a.bichar.eps(gamma, g) for g in position]
 
         def rows():
             ncoords = len(coords)
-            for t in product(range(d), repeat=n):
+            for t, indices in prefixes.items():
                 bt = table[t]
-                # twist factors per insertion position
-                twists = []
-                s = a.group.zero()
-                for i in range(n):
-                    twists.append(eps_by_deg[s])
-                    s = s + a.degrees[t[i]]
                 contribs = []
                 for i in range(n):
                     ji = t[i]
-                    e = twists[i]
+                    e = eps[indices[i]]
                     for k in kset[ji]:
                         vec = bt if k == ji else table[t[:i] + (k,) + t[i + 1:]]
                         contribs.append((index[(k, ji)], e, vec))
@@ -377,8 +379,7 @@ def inner_derivation_space(a: ColorAlgebra) -> DerivationSpace:
         return cached
     m = a.conductor
     blocks = {}
-    for gamma in a.group.elements():
-        coords = block_coordinates(a, gamma)
+    for gamma, coords in a.degree_table().blocks.items():
         rows = [
             ad(a, a.basis_vector(i)).block_vector()
             for i in range(a.dim)
@@ -486,10 +487,10 @@ def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAl
     for p in range(r):
         for q in range(r):
             br = map_bracket(maps[p], maps[q])
-            gamma = degrees[p] + degrees[q]
-            sub = space.blocks.get(gamma)
             if br.is_zero():
                 continue
+            gamma = br.degree
+            sub = space.blocks.get(gamma)
             if sub is None or sub.dim == 0:
                 raise NotClosed(
                     f"bracket of basis maps ({p}, {q}) escapes the space", (p, q)
@@ -517,10 +518,6 @@ def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAl
 
 
 # -- verification reports ----------------------------------------------------
-
-
-def _degree_key(g: GroupElement) -> list:
-    return list(g.residues)
 
 
 @dataclass
@@ -578,7 +575,7 @@ def verify_nder_equals_der(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_
         s, t = der.block(gamma), nder.block(gamma)
         eq = s == t
         equal = equal and eq
-        blocks.append((_degree_key(gamma), s.dim, t.dim, eq))
+        blocks.append((list(gamma.residues), s.dim, t.dim, eq))
     is_perfect = a.is_perfect()
     center_dim = a.center().dim
     fixed = None
@@ -655,9 +652,7 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     der = n_derivation_space(a, 2, max_n=max_n)
     # Der is used as the algebra below; record that it matches nDer on the base
     nder_base = n_derivation_space(a, n, max_n=max_n)
-    base_match = all(
-        der.block(g) == nder_base.block(g) for g in a.group.elements()
-    )
+    base_match = der.blocks == nder_base.blocks
     A = derivation_color_algebra(a, der)
     nder_A = n_derivation_space(A, n, max_n=max_n)
     inner_A = inner_derivation_space(A)
@@ -668,7 +663,7 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
         s, t = inner_A.block(gamma), nder_A.block(gamma)
         eq = s == t
         equal = equal and eq
-        blocks.append((_degree_key(gamma), s.dim, t.dim, eq))
+        blocks.append((list(gamma.residues), s.dim, t.dim, eq))
 
     # coordinates of each ad(e_i) of the base algebra inside A
     der_maps = der.basis_maps()
@@ -775,7 +770,7 @@ def verify_closure(a: ColorAlgebra, n: int, trials: int, *, seed: int = 0,
     def random_member():
         gamma = rng.choice(populated)
         sub = nder.block(gamma)
-        vec = [CycloScalar.zero(m)] * len(block_coordinates(a, gamma))
+        vec = [CycloScalar.zero(m)] * sub.ambient_dim
         for row in sub.basis.entries:
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             if c:
@@ -847,7 +842,7 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
     for gamma, sub in nder.blocks.items():
         r = sub.dim
         if r == 0:
-            report.block_dims.append((_degree_key(gamma), 0))
+            report.block_dims.append((list(gamma.residues), 0))
             continue
         basis = [
             GradedMap.from_block_vector(a, gamma, row) for row in sub.basis.entries
@@ -859,7 +854,7 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
                 for l in range(a.dim):
                     rows.append([B.matrix[k][l] for B in brackets])
         dim = MatrixExact(a.conductor, rows, cols=r).kernel().dim
-        report.block_dims.append((_degree_key(gamma), dim))
+        report.block_dims.append((list(gamma.residues), dim))
         total += dim
     report.total_dim = total
     return report

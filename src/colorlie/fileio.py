@@ -38,11 +38,16 @@ def _expect_keys(obj, keys, where):
         raise ParseError(f"missing field(s) {sorted(missing)} in {where}")
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int; they are not integers
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def algebra_from_dict(doc: dict) -> ColorAlgebra:
     _expect_keys(doc, _TOP_KEYS, "algebra document")
     _expect_keys(doc["group"], {"orders"}, "group")
     orders = doc["group"]["orders"]
-    if not isinstance(orders, list) or not all(isinstance(n, int) for n in orders):
+    if not isinstance(orders, list) or not all(_is_int(n) for n in orders):
         raise ParseError("group.orders must be a list of integers")
     try:
         group = GradingGroup(orders)
@@ -52,7 +57,7 @@ def algebra_from_dict(doc: dict) -> ColorAlgebra:
     _expect_keys(doc["bicharacter"], {"exponents"}, "bicharacter")
     exponents = doc["bicharacter"]["exponents"]
     if not isinstance(exponents, list) or not all(
-        isinstance(row, list) and all(isinstance(k, int) for k in row)
+        isinstance(row, list) and all(_is_int(k) for k in row)
         for row in exponents
     ):
         raise ParseError("bicharacter.exponents must be a matrix of integers")
@@ -79,7 +84,7 @@ def algebra_from_dict(doc: dict) -> ColorAlgebra:
         if name in names:
             raise ParseError(f"duplicate basis name {name!r}")
         deg = entry["degree"]
-        if not isinstance(deg, list) or not all(isinstance(r, int) for r in deg):
+        if not isinstance(deg, list) or not all(_is_int(r) for r in deg):
             raise ParseError(f"basis[{idx}].degree must be a list of integers")
         try:
             degrees.append(group.element(deg))
@@ -124,19 +129,16 @@ def algebra_from_dict(doc: dict) -> ColorAlgebra:
         table[(i, j)] = parsed
 
     constants = structure_constants_from_table(group, bichar, degrees, table, d)
-
-    # grading-support invariant, with the offending indices in the message
-    for i in range(d):
-        for j in range(d):
-            target = degrees[i] + degrees[j]
-            for k in range(d):
-                if constants[i][j][k] and degrees[k] != target:
-                    raise ValidationError(
-                        f"bracket [{names[i]}, {names[j]}] has a component on "
-                        f"{names[k]} outside the degree-sum component",
-                        location=(i, j, k),
-                    )
-    return ColorAlgebra(group, bichar, degrees, constants, names=tuple(names))
+    a = ColorAlgebra(group, bichar, degrees, constants, names=tuple(names))
+    violations = a.grading_violations()
+    if violations:
+        i, j, k = violations[0]
+        raise ValidationError(
+            f"bracket [{names[i]}, {names[j]}] has a component on "
+            f"{names[k]} outside the degree-sum component",
+            location=(i, j, k),
+        )
+    return a
 
 
 def parse_algebra(text: str) -> ColorAlgebra:
@@ -144,6 +146,8 @@ def parse_algebra(text: str) -> ColorAlgebra:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON is nested too deeply") from exc
     return algebra_from_dict(doc)
 
 

@@ -197,7 +197,3 @@ class Bicharacter:
 
     def __repr__(self):
         return f"Bicharacter({self.group!r}, {[list(r) for r in self.exponents]})"
-
-
-def validate_bicharacter(b: Bicharacter) -> BicharacterReport:
-    return b.validate()

@@ -130,13 +130,6 @@ class MatrixExact:
             out.append(acc)
         return tuple(out)
 
-    def transpose(self) -> "MatrixExact":
-        return MatrixExact(
-            self.conductor,
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            cols=self.rows,
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, MatrixExact)
@@ -267,21 +260,3 @@ def kernel_from_rows(rows, cols: int, conductor: int) -> Subspace:
             v[pc] = -prow[f]
         vectors.append(v)
     return Subspace.from_rows(cols, vectors, conductor)
-
-
-def subspace_sum(s: Subspace, t: Subspace) -> Subspace:
-    return s.sum(t)
-
-
-def subspace_intersect(s: Subspace, t: Subspace) -> Subspace:
-    return s.intersect(t)
-
-
-def subspace_contains(s: Subspace, t: Subspace) -> bool:
-    return s.contains(t)
-
-
-def subspace_equal(s: Subspace, t: Subspace) -> bool:
-    if s.ambient_dim != t.ambient_dim:
-        raise AmbientMismatch(f"ambient dims differ: {s.ambient_dim} vs {t.ambient_dim}")
-    return s == t

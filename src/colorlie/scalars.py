@@ -43,20 +43,35 @@ def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+def _substitute_power(poly: list[int], stride: int) -> list[int]:
+    # coefficients of poly(x^stride), ascending
+    out = [0] * ((len(poly) - 1) * stride + 1)
+    out[::stride] = poly
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of Phi_m, ascending degree (integer, monic)."""
+    """Coefficients of Phi_m, ascending degree (integer, monic).
+
+    Built on the squarefree kernel rad(m), one prime at a time, using
+    Phi_np(x) = Phi_n(x^p) / Phi_n(x) for a prime p not dividing n; then
+    Phi_m(x) = Phi_rad(m)(x^(m / rad(m))). The cost is polynomial in phi(m),
+    with one exact division per prime factor.
+    """
     if m < 1:
         raise ValueError(f"conductor must be positive, got {m}")
-    if m == 1:
-        return (-1, 1)
-    # Phi_m = (x^m - 1) / prod(Phi_d : d | m, d < m)
-    poly = [0] * (m + 1)
-    poly[0], poly[m] = -1, 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _int_poly_div_exact(poly, list(cyclotomic_polynomial(d)))
-    return tuple(poly)
+    poly, rad, rest, p = [-1, 1], 1, m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest  # no factor up to its square root: rest is prime
+        if rest % p == 0:
+            poly = _int_poly_div_exact(_substitute_power(poly, p), poly)
+            rad *= p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return tuple(_substitute_power(poly, m // rad))
 
 
 def totient(m: int) -> int:
@@ -346,14 +361,13 @@ def parse_scalar(text: str, conductor: int = 1) -> CycloScalar:
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"malformed scalar term: {term!r} in {text!r}")
-        if m.group("coeff") is not None:
-            c = Fraction(m.group("coeff"))
-            k = 0
-            if m.group("zc") is not None:
-                k = int(m.group("kc") or 1)
-        else:
-            c = Fraction(1)
-            k = int(m.group("k") or 1)
+        has_z = m.group("zc") is not None or m.group("z") is not None
+        try:
+            c = Fraction(m.group("coeff") or 1)
+            k = int(m.group("kc") or m.group("k") or 1) if has_z else 0
+        except (ValueError, ZeroDivisionError) as exc:  # 1/0, or too many digits
+            raise ParseError(f"bad scalar term {term!r}: {exc}") from exc
+        k %= conductor  # zeta_m^m = 1, so the vector below stays shorter than m
         coeffs[k] = coeffs.get(k, Fraction(0)) + sgn * c
     top = max(coeffs) if coeffs else 0
     vec = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from colorlie import catalog
+from colorlie.algebra import ColorAlgebra, structure_constants_from_table
 from colorlie.cli import run
 from colorlie.errors import ParseError, ValidationError
 from colorlie.fileio import parse_algebra, serialize_algebra
@@ -46,6 +47,16 @@ def test_parse_rejects_wrong_degree_component():
     with pytest.raises(ValidationError) as err:
         parse_algebra(json.dumps(doc))
     assert err.value.location is not None
+    # the parser reports the first violation the axiom check lists
+    a = catalog.get("colorSl2")
+    index = {name: i for i, name in enumerate(a.names)}
+    table = {
+        (index[b["left"]], index[b["right"]]): {index[k]: v for k, v in b["result"].items()}
+        for b in doc["brackets"]
+    }
+    constants = structure_constants_from_table(a.group, a.bichar, a.degrees, table, a.dim)
+    broken = ColorAlgebra(a.group, a.bichar, a.degrees, constants, names=a.names)
+    assert err.value.location == broken.check_axioms().grading[0]
 
 
 def test_parse_cross_checks_redundant_pairs():
@@ -161,6 +172,40 @@ def test_cli_exit_code_2():
     assert code == 2
     code, _ = run(["catalog", "emit"])
     assert code == 2
+
+
+def test_cli_rejects_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"group": {"orders": []}, "basis": "\xe9"}'.encode("latin-1"))
+    code, out = run(["check", str(path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = run(["check", str(path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_parse_rejects_booleans_as_integers(tmp_path, capsys):
+    base = json.loads(serialize_algebra(catalog.get("colorSl2")))
+    for where in ("orders", "exponents", "degree"):
+        doc = json.loads(json.dumps(base))
+        if where == "orders":
+            doc["group"]["orders"][0] = True
+        elif where == "exponents":
+            doc["bicharacter"]["exponents"][0][1] = True
+        else:
+            doc["basis"][0]["degree"][0] = True
+        with pytest.raises(ParseError):
+            parse_algebra(json.dumps(doc))
+        path = tmp_path / f"{where}.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check", str(path)]) == (2, ""), where
+        assert capsys.readouterr().err.startswith("error:"), where
 
 
 def test_cli_catalog_list_and_emit(tmp_path):

@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from colorlie import catalog
+from colorlie.algebra import ColorAlgebra, structure_constants_from_table
+from colorlie.cli import run
 from colorlie.derivations import (
     GradedMap,
     ad,
@@ -23,7 +26,8 @@ from colorlie.derivations import (
     verify_second_statement,
 )
 from colorlie.errors import BadArity, NonHomogeneous, PreconditionFailed
-from colorlie.linalg import subspace_equal
+from colorlie.fileio import serialize_algebra
+from colorlie.grading import Bicharacter, GradingGroup
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +78,46 @@ def test_block_coordinates_partition(algebras):
         for gamma in a.group.elements():
             coords = block_coordinates(a, gamma)
             assert seen.isdisjoint(coords), name
+            # plain group arithmetic, independent of the algebra's degree table
+            assert all(a.degrees[k] == gamma + a.degrees[j] for k, j in coords), name
             seen.update(coords)
         assert len(seen) == a.dim * a.dim, name
+
+
+def _color_heisenberg_z12():
+    """[x, y] = z with z central, graded by Z12 x Z12 with deg x = (1, 0), deg y = (0, 1)."""
+    group = GradingGroup([12, 12])
+    bichar = Bicharacter(group, [[0, 1], [11, 0]])
+    degrees = tuple(group.element(r) for r in ((1, 0), (0, 1), (1, 1)))
+    constants = structure_constants_from_table(group, bichar, degrees, {(0, 1): {2: 1}}, 3)
+    a = ColorAlgebra(group, bichar, degrees, constants, names=("x", "y", "z"))
+    assert a.check_axioms().ok
+    return a
+
+
+def test_blocks_cover_the_group_with_zero_off_the_support():
+    a = _color_heisenberg_z12()
+    support = {
+        a.degrees[k] - a.degrees[j] for k in range(a.dim) for j in range(a.dim)
+    }
+    assert len(support) == 7
+    space = n_derivation_space(a, 2)
+    assert list(space.blocks) == a.group.elements()
+    for gamma, sub in space.blocks.items():
+        assert (sub.ambient_dim > 0) == (gamma in support), gamma
+    assert space.total_dim == 6
+    assert all(is_n_derivation(a, D, 2) for D in space.basis_maps())
+
+
+def test_cli_der_lists_every_degree(tmp_path):
+    path = tmp_path / "cheis.json"
+    path.write_text(serialize_algebra(_color_heisenberg_z12()))
+    code, out = run(["der", str(path), "--json"])
+    assert code == 0
+    blocks = json.loads(out)["blocks"]
+    assert [b["degree"] for b in blocks] == [
+        list(g.residues) for g in GradingGroup([12, 12]).elements()
+    ]
 
 
 def test_inner_space_dims(algebras):
@@ -102,10 +144,10 @@ def test_nder_examples(algebras):
     nder3 = n_derivation_space(sl2, 3)
     assert der.total_dim == 3 and nder3.total_dim == 3
     gamma = sl2.group.zero()
-    assert subspace_equal(der.block(gamma), nder3.block(gamma))
+    assert der.block(gamma) == nder3.block(gamma)
     # for this perfect centerless algebra Der coincides with the inner space
     inner = inner_derivation_space(sl2)
-    assert subspace_equal(der.block(gamma), inner.block(gamma))
+    assert der.block(gamma) == inner.block(gamma)
 
     ab = algebras["abelian(2)"]
     assert n_derivation_space(ab, 3).total_dim == 4

@@ -1,7 +1,7 @@
 import pytest
 
 from colorlie.errors import ArityMismatch
-from colorlie.grading import Bicharacter, GradingGroup, validate_bicharacter
+from colorlie.grading import Bicharacter, GradingGroup
 
 
 def test_element_arithmetic():
@@ -57,7 +57,7 @@ def test_eps_klein_table():
 
 def test_validate_reports():
     g = GradingGroup([2, 2])
-    assert validate_bicharacter(Bicharacter(g, [[0, 1], [1, 0]])).ok
+    assert Bicharacter(g, [[0, 1], [1, 0]]).validate().ok
 
     z3 = GradingGroup([3])
     bad = Bicharacter(z3, [[1]])
@@ -65,7 +65,7 @@ def test_validate_reports():
     assert not report.ok
     assert (0, 0) in report.skew_violations
 
-    assert validate_bicharacter(Bicharacter(GradingGroup([]), [])).ok
+    assert Bicharacter(GradingGroup([]), []).validate().ok
 
 
 def test_validate_well_definedness():

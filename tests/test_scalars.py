@@ -1,5 +1,8 @@
 import random
+import sys
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +10,7 @@ from hypothesis import given, strategies as st
 from colorlie.errors import ConductorMismatch, NotDivisible, ParseError
 from colorlie.scalars import (
     CycloScalar,
+    _int_poly_div_exact,
     cyclotomic_polynomial,
     format_scalar,
     parse_scalar,
@@ -22,6 +26,21 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     assert [totient(m) for m in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_by_divisors(m):
+    # reference: Phi_m = (x^m - 1) / prod(Phi_d : d | m, d < m)
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly = _int_poly_div_exact(poly, list(_cyclotomic_by_divisors(d)))
+    return tuple(poly)
+
+
+def test_cyclotomic_matches_divisor_quotient():
+    for m in range(1, 301):
+        assert cyclotomic_polynomial(m) == _cyclotomic_by_divisors(m), m
 
 
 def test_root_examples():
@@ -157,9 +176,28 @@ def test_parse_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "z^", "1//2", "q", "1 + + 2", "*z"):
+    for bad in ("", "z^", "1//2", "q", "1 + + 2", "*z", "1/0", "2*z^3 + 1/0*z"):
         with pytest.raises(ParseError):
             parse_scalar(bad, 4)
+
+
+def test_parse_rejects_integers_the_interpreter_will_not_convert():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integer strings of any length")
+    for bad in ("z^" + "9" * (limit + 1), "9" * (limit + 1)):
+        with pytest.raises(ParseError):
+            parse_scalar(bad, 4)
+
+
+def test_parse_reduces_exponents_mod_conductor():
+    k = 10**9 + 7
+    for m in (1, 2, 3, 4, 12, 60):
+        started = time.perf_counter()
+        value = parse_scalar(f"z^{k}", m)
+        assert time.perf_counter() - started < 0.5, m
+        assert value == CycloScalar.root(m, k % m), m
+        assert parse_scalar(f"3*z^{k} - z^{k + m}", m) == 2 * CycloScalar.root(m, k % m), m
 
 
 def test_format_parse_round_trip():

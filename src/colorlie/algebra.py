@@ -242,36 +242,45 @@ class ColorAlgebra:
     def check_axioms(self) -> AxiomReport:
         """Exhaustively verify grading support, eps-antisymmetry, eps-Jacobi.
 
-        Every violating index tuple is reported, in index order.
+        Every violating index tuple is reported, in index order. The check
+        runs once per algebra; each call returns a fresh copy of the report.
         """
+        report = self._cache.get("axioms")
+        if report is None:
+            report = self._cache["axioms"] = self._axiom_report()
+        return AxiomReport(
+            list(report.grading), list(report.antisymmetry), list(report.jacobi)
+        )
+
+    def _axiom_report(self) -> AxiomReport:
         report = AxiomReport(grading=self.grading_violations())
         d = self.dim
-        eps = self.bichar.eps
+        eps = [[self.bichar.eps(di, dj) for dj in self.degrees] for di in self.degrees]
         for i in range(d):
             for j in range(d):
-                e = eps(self.degrees[i], self.degrees[j])
+                e = eps[i][j]
                 lhs = self.constants[i][j]
                 rhs = self.constants[j][i]
                 if any(a + e * b for a, b in zip(lhs, rhs)):
                     report.antisymmetry.append((i, j))
-        zero = self.zero_vector()
-        basis = [self.basis_vector(i) for i in range(d)]
+        nz = self._nonzero_constants()
+        zero = self.zero_scalar()
+
+        def add_nested(total, t, x, y, z):
+            # total += t * [e_x, [e_y, e_z]], read off the nonzero constants
+            for l, c in nz[y][z]:
+                s = t * c
+                for p, b in nz[x][l]:
+                    total[p] = total.get(p, zero) + s * b
+
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    x, y, z = basis[i], basis[j], basis[k]
-                    t1 = eps(self.degrees[k], self.degrees[i])
-                    t2 = eps(self.degrees[i], self.degrees[j])
-                    t3 = eps(self.degrees[j], self.degrees[k])
-                    total = tuple(
-                        t1 * a + t2 * b + t3 * c
-                        for a, b, c in zip(
-                            self.bracket(x, self.bracket(y, z)),
-                            self.bracket(y, self.bracket(z, x)),
-                            self.bracket(z, self.bracket(x, y)),
-                        )
-                    )
-                    if total != zero:
+                    total = {}
+                    add_nested(total, eps[k][i], i, j, k)
+                    add_nested(total, eps[i][j], j, k, i)
+                    add_nested(total, eps[j][k], k, i, j)
+                    if any(total.values()):
                         report.jacobi.append((i, j, k))
         return report
 

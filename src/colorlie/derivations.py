@@ -21,6 +21,12 @@ one linear system per degree and takes its kernel, while
 every basis tuple. They share no assembly code and are cross-checked in
 the test suite.
 
+The kernel route uses that Inn <= Der <= nDer in every degree of a Lie
+color algebra: when the bicharacter and axiom checks pass, the inner block
+is taken as known and only its complement is solved for, and elimination
+stops once that system reaches full rank. Rows that no nonzero bracket
+reaches are never built. Input failing the checks streams every row.
+
 Constraint rows are ordered lexicographically over
 (degree, x1..xn, output coordinate); together with canonical echelon
 forms this makes every computed space reproducible bit for bit.
@@ -29,6 +35,7 @@ forms this makes every computed space reproducible bit for bit.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -276,6 +283,14 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     n = 2 is the ordinary derivation space Der. Cost grows like d^n * d
     rows per degree, so n is capped (default 4); pass a larger max_n to
     override deliberately.
+
+    On a Lie color algebra (the bicharacter and axiom checks pass) every
+    ad x is a derivation, hence an n-derivation, of degree deg x, so each
+    block of ``inner_derivation_space`` is a known part K of the kernel.
+    The kernel is then K plus the solutions that vanish at the pivots of
+    K's canonical basis, so only the other columns are assembled; when
+    nDer = Inn in a block they have full rank and the stream stops early.
+    Without the certificate K is zero and every column is solved.
     """
     if n < 2:
         raise BadArity(f"n-derivations need n >= 2, got {n}")
@@ -293,6 +308,7 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     m = a.conductor
     zero = CycloScalar.zero(m)
     table = _basis_bracket_table(a, n)
+    support = {t: [r for r, c in enumerate(vec) if c] for t, vec in table.items()}
     # the twist at position i depends only on the degree of the prefix t[:i];
     # number the prefix degrees that occur, so each block twists by lookup
     position = {}
@@ -304,38 +320,52 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
             indices.append(position.setdefault(s, len(position)))
             s = s + a.degrees[j]
         prefixes[t] = indices
+    lie = a.bichar.validate().ok and a.check_axioms().ok
+    known = inner_derivation_space(a).blocks if lie else {}
     blocks = {}
     for gamma, coords in a.degree_table().blocks.items():
-        index = {kj: pos for pos, kj in enumerate(coords)}
-        kset = [
-            [k for k in range(d) if (k, j) in index] for j in range(d)
-        ]
+        inner = known.get(gamma) or Subspace.zero(len(coords), m)
+        taken = set(inner.pivots)
+        free = [pos for pos in range(len(coords)) if pos not in taken]
+        # the free columns of input coordinate l, as (output r, column) for M[r][l]
+        by_input = [[] for _ in range(d)]
+        for col, pos in enumerate(free):
+            r, l = coords[pos]
+            by_input[l].append((r, col))
         eps = [a.bichar.eps(gamma, g) for g in position]
 
         def rows():
-            ncoords = len(coords)
-            for t, indices in prefixes.items():
-                bt = table[t]
-                contribs = []
-                for i in range(n):
-                    ji = t[i]
-                    e = eps[indices[i]]
-                    for k in kset[ji]:
-                        vec = bt if k == ji else table[t[:i] + (k,) + t[i + 1:]]
-                        contribs.append((index[(k, ji)], e, vec))
-                for r in range(d):
-                    row = [zero] * ncoords
-                    for l in range(d):
-                        pos = index.get((r, l))
-                        if pos is not None and bt[l]:
-                            row[pos] = row[pos] + bt[l]
-                    for pos, e, vec in contribs:
-                        c = vec[r]
-                        if c:
-                            row[pos] = row[pos] - e * c
-                    yield row
+            # per tuple, only the output coordinates some nonzero term reaches
+            def new_row():
+                return [zero] * len(free)
 
-        blocks[gamma] = kernel_from_rows(rows(), len(coords), m)
+            for t, indices in prefixes.items():
+                acc = defaultdict(new_row)
+                bt = table[t]
+                for l in support[t]:
+                    for r, col in by_input[l]:
+                        acc[r][col] += bt[l]
+                for i in range(n):
+                    e = eps[indices[i]]
+                    for k, col in by_input[t[i]]:
+                        u = t[:i] + (k,) + t[i + 1:]
+                        vec = table[u]
+                        for r in support[u]:
+                            acc[r][col] -= e * vec[r]
+                for r in sorted(acc):
+                    yield acc[r]
+
+        rest = kernel_from_rows(rows(), len(free), m)
+        if not inner.dim:
+            blocks[gamma] = rest
+            continue
+        vectors = list(inner.basis.entries)
+        for w in rest.basis.entries:
+            v = [zero] * len(coords)
+            for pos, c in zip(free, w):
+                v[pos] = c
+            vectors.append(v)
+        blocks[gamma] = Subspace.from_rows(len(coords), vectors, m)
 
     space = DerivationSpace(a, n, blocks)
     a._cache[key] = space

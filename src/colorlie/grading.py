@@ -14,7 +14,7 @@ the whole group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from math import lcm
 
@@ -53,9 +53,7 @@ class GradingGroup:
 
     def elements(self) -> list["GroupElement"]:
         """All |G| elements in lexicographic order of residue vectors."""
-        return [
-            GroupElement(self, res) for res in product(*(range(n) for n in self.orders))
-        ]
+        return list(_elements(self))
 
     def __eq__(self, other):
         return isinstance(other, GradingGroup) and self.orders == other.orders
@@ -65,6 +63,14 @@ class GradingGroup:
 
     def __repr__(self):
         return f"GradingGroup({list(self.orders)})"
+
+
+@lru_cache(maxsize=64)
+def _elements(group: GradingGroup) -> tuple:
+    # built once per group: a derivation space lists every element
+    return tuple(
+        GroupElement(group, res) for res in product(*(range(n) for n in group.orders))
+    )
 
 
 class GroupElement:

@@ -22,10 +22,16 @@ def _rref_rows(rows, cols):
 
     Incrementally absorbs each row into a maintained reduced echelon set,
     which keeps at most ``cols`` live rows regardless of input length. The
-    result is the unique RREF of the row space, zero rows dropped.
+    result is the unique RREF of the row space, zero rows dropped. Once the
+    rank reaches ``cols`` the RREF is the identity whatever follows, so no
+    further row is pulled from ``rows``.
     """
     echelon = []  # (pivot_col, normalized row), kept sorted by pivot_col
-    for row in rows:
+    rows = iter(rows)
+    while len(echelon) < cols:
+        row = next(rows, None)
+        if row is None:
+            break
         work = list(row)
         for pc, prow in echelon:
             c = work[pc]
@@ -171,6 +177,11 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
+    @property
+    def pivots(self) -> list:
+        """The pivot column of each basis row, in order."""
+        return [next(i for i, a in enumerate(row) if a) for row in self.basis.entries]
+
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
             raise AmbientMismatch(
@@ -214,8 +225,7 @@ class Subspace:
                 f"vector length {len(vec)} != ambient {self.ambient_dim}"
             )
         coeffs = []
-        for row in self.basis.entries:
-            pc = next(i for i, a in enumerate(row) if a)
+        for row, pc in zip(self.basis.entries, self.pivots):
             c = vec[pc]
             coeffs.append(c)
             if c:

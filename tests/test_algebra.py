@@ -190,3 +190,86 @@ def test_table_fill_and_cross_check():
         structure_constants_from_table(
             group, bichar, degrees, {(0, 1): {1: 1}, (1, 0): {1: 1}}, 2
         )
+
+
+def _reference_axiom_lists(a):
+    """Antisymmetry and Jacobi violations by plain bracket evaluation, in index order."""
+    d = a.dim
+    eps = a.bichar.eps
+    basis = [a.basis_vector(i) for i in range(d)]
+    antisymmetry = [
+        (i, j)
+        for i in range(d)
+        for j in range(d)
+        if a.bracket(basis[i], basis[j])
+        != tuple(-(eps(a.degrees[i], a.degrees[j]) * c) for c in a.bracket(basis[j], basis[i]))
+    ]
+    jacobi = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                x, y, z = basis[i], basis[j], basis[k]
+                terms = (
+                    (eps(a.degrees[k], a.degrees[i]), a.bracket(x, a.bracket(y, z))),
+                    (eps(a.degrees[i], a.degrees[j]), a.bracket(y, a.bracket(z, x))),
+                    (eps(a.degrees[j], a.degrees[k]), a.bracket(z, a.bracket(x, y))),
+                )
+                total = [sum((t * v[p] for t, v in terms), a.zero_scalar()) for p in range(d)]
+                if any(total):
+                    jacobi.append((i, j, k))
+    return antisymmetry, jacobi
+
+
+def _assert_report_matches_reference(a):
+    report = a.check_axioms()
+    grading = [
+        (i, j, k)
+        for i in range(a.dim)
+        for j in range(a.dim)
+        for k in range(a.dim)
+        if a.constants[i][j][k] and a.degrees[k] != a.degrees[i] + a.degrees[j]
+    ]
+    assert (report.grading, report.antisymmetry, report.jacobi) == (
+        grading,
+        *_reference_axiom_lists(a),
+    )
+    return report
+
+
+def test_axiom_report_matches_reference_loop(algebras):
+    for name, a in algebras.items():
+        assert _assert_report_matches_reference(a).ok, name
+    rng = random.Random(5)
+    for name in ("colorSl2", "osp12"):
+        base = algebras[name]
+        d = base.dim
+        slots = [
+            (i, j, k)
+            for i in range(d)
+            for j in range(d)
+            for k in range(d)
+            if base.constants[i][j][k]
+        ]
+        slots += [tuple(rng.randrange(d) for _ in range(3)) for _ in range(6)]
+        jacobi_hits = 0
+        for i, j, k in slots:
+            report = _assert_report_matches_reference(_mutate(base, i, j, k, 1))
+            jacobi_hits += bool(report.jacobi)
+        assert jacobi_hits >= len(slots) - 6, name
+    # doubling both orders of an osp12 bracket keeps grading and antisymmetry
+    osp12 = algebras["osp12"]
+    for i, j, k in [(0, 1, 0), (0, 4, 3), (3, 4, 1), (3, 3, 0)]:
+        constants = [[list(row) for row in plane] for plane in osp12.constants]
+        constants[i][j][k] = constants[i][j][k] * 2
+        if i != j:
+            constants[j][i][k] = constants[j][i][k] * 2
+        mutated = ColorAlgebra(osp12.group, osp12.bichar, osp12.degrees, constants)
+        report = _assert_report_matches_reference(mutated)
+        assert not report.grading and not report.antisymmetry and report.jacobi
+
+
+def test_axiom_report_is_cached_and_copied(algebras):
+    a = algebras["osp12"]
+    first = a.check_axioms()
+    first.jacobi.append((0, 0, 0))
+    assert a.check_axioms().ok

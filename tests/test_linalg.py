@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from colorlie.errors import AmbientMismatch, DimensionMismatch, NoSolution
-from colorlie.linalg import MatrixExact, Subspace
+from colorlie.linalg import MatrixExact, Subspace, _rref_rows, kernel_from_rows
 from colorlie.scalars import CycloScalar
 
 
@@ -66,6 +66,31 @@ def test_solve_satisfies_equation():
         b = mat.matvec(x)
         sol = mat.solve(b)  # consistent by construction
         assert mat.matvec(sol) == b
+
+
+def _rows_then_raise(rows):
+    """Yield the rows, then fail if anything asks for one more."""
+    yield from rows
+    raise AssertionError("a row was pulled after full rank")
+
+
+def test_rref_stops_pulling_at_full_rank():
+    rows = M([[0, 2], [1, 1]]).entries
+    reduced, pivots = _rref_rows(_rows_then_raise(rows), 2)
+    assert MatrixExact(1, reduced) == MatrixExact.identity(2) and pivots == [0, 1]
+    assert kernel_from_rows(_rows_then_raise(rows), 2, 1).dim == 0
+    # below full rank every row is read, so the generator's error surfaces
+    with pytest.raises(AssertionError):
+        _rref_rows(_rows_then_raise(M([[1, 1], [2, 2]]).entries), 2)
+
+
+def test_solve_still_detects_inconsistency_at_full_rank():
+    # the augmented matrix reaches full rank on its first three rows
+    one, two, three = (CycloScalar.from_rational(q) for q in (1, 2, 3))
+    mat = M([[1, 0], [0, 1], [1, 1], [2, 2]])
+    with pytest.raises(NoSolution):
+        mat.solve([one, two, two, two])
+    assert mat.solve([one, two, three, CycloScalar.from_rational(6)]) == (one, two)
 
 
 def test_solve_dimension_mismatch():

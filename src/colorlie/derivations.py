@@ -109,52 +109,6 @@ class GradedMap:
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.matrix)
 
-    def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other, degree is the sum."""
-        if self.algebra != other.algebra:
-            raise AlgebraMismatch("composing maps over different algebras")
-        d = self.algebra.dim
-        z = self.algebra.zero_scalar()
-        rows = []
-        for k in range(d):
-            srow = self.matrix[k]
-            row = []
-            for j in range(d):
-                acc = z
-                for l in range(d):
-                    a, b = srow[l], other.matrix[l][j]
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return GradedMap(self.algebra, self.degree + other.degree, rows)
-
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        if not isinstance(other, GradedMap):
-            return NotImplemented
-        if self.algebra != other.algebra:
-            raise AlgebraMismatch("adding maps over different algebras")
-        if self.degree != other.degree and not (self.is_zero() or other.is_zero()):
-            raise ValueError("adding maps of different degrees")
-        deg = other.degree if self.is_zero() else self.degree
-        return GradedMap(
-            self.algebra,
-            deg,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.matrix, other.matrix)
-            ],
-        )
-
-    def __sub__(self, other: "GradedMap") -> "GradedMap":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "GradedMap":
-        c = self.algebra.scalar(c)
-        return GradedMap(
-            self.algebra, self.degree, [[c * e for e in row] for row in self.matrix]
-        )
-
     def block_vector(self) -> tuple:
         """Entries at this degree's block coordinates, in canonical order."""
         coords = block_coordinates(self.algebra, self.degree)
@@ -185,16 +139,21 @@ class GradedMap:
 
 def ad(a: ColorAlgebra, x) -> GradedMap:
     """The inner map y -> [x, y]; requires x homogeneous (NonHomogeneous otherwise)."""
-    degree = a.degree_of(x)
+    return GradedMap(a, a.degree_of(x), _ad_grid(a, x))
+
+
+def _ad_grid(a: ColorAlgebra, x) -> list:
+    # the matrix of ad x for any x, read off the nonzero constants
     d = a.dim
     z = a.zero_scalar()
     grid = [[z] * d for _ in range(d)]
+    nz = a._nonzero_constants()
     for i, xi in enumerate(x):
         if xi:
             for j in range(d):
-                for k, c in a._nonzero_constants()[i][j]:
+                for k, c in nz[i][j]:
                     grid[k][j] = grid[k][j] + xi * c
-    return GradedMap(a, degree, grid)
+    return grid
 
 
 class DerivationSpace:
@@ -310,16 +269,20 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     table = _basis_bracket_table(a, n)
     support = {t: [r for r, c in enumerate(vec) if c] for t, vec in table.items()}
     # the twist at position i depends only on the degree of the prefix t[:i];
-    # number the prefix degrees that occur, so each block twists by lookup
+    # number the prefix degrees that occur, so each block twists by lookup.
+    # Prefixes are extended one level at a time, in lexicographic order, so
+    # each prefix degree costs one addition.
     position = {}
-    prefixes = {}
-    for t in product(range(d), repeat=n):
-        s = a.group.zero()
-        indices = []
-        for j in t:
-            indices.append(position.setdefault(s, len(position)))
-            s = s + a.degrees[j]
-        prefixes[t] = indices
+    level = {(): (a.group.zero(), ())}
+    for depth in range(n):
+        last = depth == n - 1
+        nxt = {}
+        for t, (s, indices) in level.items():
+            indices += (position.setdefault(s, len(position)),)
+            for j in range(d):
+                nxt[t + (j,)] = (None if last else s + a.degrees[j], indices)
+        level = nxt
+    prefixes = {t: indices for t, (_, indices) in level.items()}
     lie = a.bichar.validate().ok and a.check_axioms().ok
     known = inner_derivation_space(a).blocks if lie else {}
     blocks = {}
@@ -421,39 +384,86 @@ def inner_derivation_space(a: ColorAlgebra) -> DerivationSpace:
     return space
 
 
+def _columns(D: GradedMap) -> list:
+    # per column j, the (k, M[k][j]) with M[k][j] nonzero
+    cols = [[] for _ in range(D.algebra.dim)]
+    for k, row in enumerate(D.matrix):
+        for j, c in enumerate(row):
+            if c:
+                cols[j].append((k, c))
+    return cols
+
+
 def map_bracket(d1: GradedMap, d2: GradedMap) -> GradedMap:
-    """d1 o d2 - eps(deg d1, deg d2) * d2 o d1, of degree deg d1 + deg d2."""
+    """d1 o d2 - eps(deg d1, deg d2) * d2 o d1, of degree deg d1 + deg d2.
+
+    Built in one grid from the nonzero entries of both maps.
+    """
     if d1.algebra != d2.algebra:
         raise AlgebraMismatch("bracketing maps over different algebras")
     a = d1.algebra
     e = a.bichar.eps(d1.degree, d2.degree)
-    left = d1.compose(d2)
-    right = d2.compose(d1).scale(e)
-    return GradedMap(
-        a,
-        d1.degree + d2.degree,
-        [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(left.matrix, right.matrix)],
-    )
+    cols1, cols2 = _columns(d1), _columns(d2)
+    z = a.zero_scalar()
+    grid = [[z] * a.dim for _ in range(a.dim)]
+    for j in range(a.dim):
+        # column j of d1 o d2 is sum_l d2[l][j] * (column l of d1)
+        for l, b in cols2[j]:
+            for k, c in cols1[l]:
+                grid[k][j] = grid[k][j] + c * b
+        for l, b in cols1[j]:
+            eb = e * b
+            for k, c in cols2[l]:
+                grid[k][j] = grid[k][j] - c * eb
+    return GradedMap(a, d1.degree + d2.degree, grid)
 
 
-def _ad_coefficient_matrix(a: ColorAlgebra) -> MatrixExact:
-    # rows indexed by (k, l) row-major, columns by i: entry c[i][l][k]
-    cached = a._cache.get("ad_matrix")
+def _ad_factor(a: ColorAlgebra) -> tuple:
+    """Coordinates (k, l) on which y -> ad(y) is invertible, and its inverse there.
+
+    Row i of [ad(e_i) flattened row-major | e_i] has RREF [R | M] with
+    M A = R, A the matrix of rows ad(e_i). R is the identity at its pivot
+    coordinates P, so M inverts A restricted to P, and ad(y) = T forces
+    y_i = sum_s M[s][i] T[P_s]. A pivot in the e_i part means some
+    combination of the ad(e_i) vanishes: the center is nonzero.
+    """
+    cached = a._cache.get("ad_factor")
     if cached is None:
         d = a.dim
         rows = []
-        for k in range(d):
-            for l in range(d):
-                rows.append([a.constants[i][l][k] for i in range(d)])
-        cached = MatrixExact(a.conductor, rows, cols=d)
-        a._cache["ad_matrix"] = cached
+        for i in range(d):
+            x = a.basis_vector(i)
+            rows.append([c for row in _ad_grid(a, x) for c in row] + list(x))
+        span = Subspace.from_rows(d * d + d, rows, a.conductor)
+        pivots = span.pivots
+        if pivots and pivots[-1] >= d * d:
+            raise PreconditionFailed("ad is not injective: the center is nonzero")
+        cached = ([divmod(p, d) for p in pivots], [row[d * d:] for row in span.basis.entries])
+        a._cache["ad_factor"] = cached
     return cached
 
 
 def _solve_ad_preimage(a: ColorAlgebra, target: GradedMap) -> tuple:
-    """The unique y with ad(y) = target (unique since the center is zero)."""
-    b = [target.matrix[k][l] for k in range(a.dim) for l in range(a.dim)]
-    return _ad_coefficient_matrix(a).solve(b)
+    """The unique y with ad(y) = target; needs a zero center (PreconditionFailed).
+
+    y is read off the cached factorization of ad at d coordinates, then
+    certified exactly: ad(y) must equal target at all d*d coordinates,
+    otherwise target lies outside ad(L) and NoSolution is raised.
+    """
+    coords, inverse = _ad_factor(a)
+    picked = [(s, target.matrix[k][l]) for s, (k, l) in enumerate(coords) if target.matrix[k][l]]
+    z = a.zero_scalar()
+    y = []
+    for i in range(a.dim):
+        acc = z
+        for s, t in picked:
+            c = inverse[s][i]
+            if c:
+                acc = acc + c * t
+        y.append(acc)
+    if any(tuple(r) != t for r, t in zip(_ad_grid(a, y), target.matrix)):
+        raise NoSolution("target is outside ad(L)")
+    return tuple(y)
 
 
 def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:
@@ -461,8 +471,10 @@ def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:
 
     Computed by solving ad(y) = [D, ad e_j] for each basis vector; the zero
     center makes y unique, so no bracket decomposition of x is ever chosen.
-    A failing solve means [D, ad x] escaped the inner space, which the
-    inner-ideal property rules out; it is surfaced as NoSolution.
+    The solve certifies ad(y) = [D, ad e_j] exactly, which is the
+    postcondition [D, ad e_j] = ad(delta(e_j)). A failing solve means
+    [D, ad x] escaped the inner space, which the inner-ideal property rules
+    out; it is surfaced as NoSolution.
     """
     if n < 2:
         raise BadArity(f"n-derivations need n >= 2, got {n}")
@@ -483,12 +495,7 @@ def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:
             ) from exc
         for k in range(d):
             grid[k][j] = y[k]
-    result = GradedMap(a, D.degree, grid)
-    for j in range(d):
-        check = ad(a, result.apply(a.basis_vector(j)))
-        if check != map_bracket(D, ad(a, a.basis_vector(j))):
-            raise NoSolution(f"postcondition [D, ad e_{j}] = ad(delta(e_{j})) failed")
-    return result
+    return GradedMap(a, D.degree, grid)
 
 
 def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAlgebra:
@@ -696,7 +703,6 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
         blocks.append((list(gamma.residues), s.dim, t.dim, eq))
 
     # coordinates of each ad(e_i) of the base algebra inside A
-    der_maps = der.basis_maps()
     offsets = {}
     pos = 0
     for gamma, sub in der.blocks.items():
@@ -718,6 +724,12 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
 
     ad_image_rows = [coords_in_A(ad(a, a.basis_vector(i))) for i in range(a.dim)]
     ad_image = Subspace.from_rows(A.dim, ad_image_rows, A.conductor)
+    # nonzero entries of each basis map of Der, from which witness targets are summed
+    der_maps = der.basis_maps()
+    der_entries = [
+        [(k, l, c) for k, row in enumerate(mp.matrix) for l, c in enumerate(row) if c]
+        for mp in der_maps
+    ]
 
     preserves = True
     witness_failures = []
@@ -730,11 +742,14 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
         d_grid = [[a.zero_scalar()] * a.dim for _ in range(a.dim)]
         ok = True
         for j in range(a.dim):
-            image_coords = D.apply(coords_in_A(ad(a, a.basis_vector(j))))
-            target = GradedMap.zero(a, a.group.zero())
-            for p, c in enumerate(image_coords):
+            grid = [[z] * a.dim for _ in range(a.dim)]
+            degree = a.group.zero()
+            for p, c in enumerate(D.apply(ad_image_rows[j])):
                 if c:
-                    target = target + der_maps[p].scale(c)
+                    degree = der_maps[p].degree
+                    for k, l, v in der_entries[p]:
+                        grid[k][l] = grid[k][l] + c * v
+            target = GradedMap(a, degree, grid)
             try:
                 y = _solve_ad_preimage(a, target)
             except NoSolution:
@@ -804,7 +819,8 @@ def verify_closure(a: ColorAlgebra, n: int, trials: int, *, seed: int = 0,
         for row in sub.basis.entries:
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             if c:
-                vec = [x + c * y for x, y in zip(vec, row)]
+                c = a.scalar(c)
+                vec = [x + c * y if y else x for x, y in zip(vec, row)]
         return GradedMap.from_block_vector(a, gamma, vec)
 
     for trial in range(trials):

@@ -21,18 +21,24 @@ def test_every_traced_attribute_exists():
     assert not missing
 
 
-def _counted(name, n):
+def _counted_calls(run):
+    """Counters of the benchmark's tracer over one call of run()."""
     if str(ROOT) not in sys.path:
         sys.path.insert(0, str(ROOT))
     tracer = importlib.import_module("perfbench.tracer")
     from collections import Counter
 
-    from colorlie import catalog, derivations
-
     counter = Counter()
     with tracer.counts(counter):
-        derivations.n_derivation_space(catalog.get(name), n)
+        run()
     return counter
+
+
+def _counted(name, n):
+    from colorlie import catalog, derivations
+
+    a = catalog.get(name)
+    return _counted_calls(lambda: derivations.n_derivation_space(a, n))
 
 
 def test_known_space_and_full_rank_stop_keep_osp12_streams_short():
@@ -43,3 +49,25 @@ def test_known_space_and_full_rank_stop_keep_osp12_streams_short():
 def test_structurally_zero_rows_are_not_built():
     # every triple bracket of heis3 vanishes: the full stream is 81 zero rows
     assert _counted("heis3", 3)["linalg.zero_rows_in"] < 10
+
+
+def test_prefix_degrees_are_numbered_level_by_level():
+    # one addition per prefix of length 1..n-1: 5 + 25 + 125 for osp12 at n = 4,
+    # against 4 * 5^4 when every tuple is walked on its own
+    assert _counted("osp12", 4)["grading.add_calls"] <= 300
+
+
+def test_ad_preimages_use_one_factorization_per_algebra():
+    from colorlie import catalog, derivations
+
+    a = catalog.get("osp12")
+
+    def both_parts():
+        derivations.verify_nder_equals_der(a, 3)
+        derivations.verify_second_statement(a, 3)
+
+    counter = _counted_calls(both_parts)
+    assert counter["linalg.solve_calls"] == 0
+    assert counter["linalg.rows_in"] <= 400
+    # delta brackets each [D, ad e_j] once: 5 basis maps x 5, plus 5 x 5 in Der(A)
+    assert counter["maps.bracket_calls"] <= 50

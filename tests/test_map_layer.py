@@ -1,0 +1,160 @@
+"""The map-algebra layer against dense reference computations kept here.
+
+``_solve_ad_preimage`` reads y off one cached factorization of x -> ad x
+and certifies ad(y) = target exactly; the reference solves the full
+d*d x d coefficient system with ``MatrixExact.solve``. ``map_bracket``
+works on nonzero entries only; the reference is the textbook triple loop.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from colorlie import catalog
+from colorlie.algebra import ColorAlgebra
+from colorlie.derivations import (
+    GradedMap,
+    _solve_ad_preimage,
+    ad,
+    delta,
+    map_bracket,
+    n_derivation_space,
+)
+from colorlie.errors import NoSolution, PreconditionFailed
+from colorlie.grading import Bicharacter, GradingGroup
+from colorlie.linalg import MatrixExact
+from colorlie.scalars import CycloScalar
+
+CATALOG = ("sl2", "heis3", "aff2", "colorSl2", "osp12", "abelian(3)")
+
+
+def _torus3(drop_center=False):
+    """Color commutator of the Z3 x Z3 group algebra: [u_a, u_b] = (1 - eps(a, b)) u_(a+b).
+
+    u_0 spans the center. With drop_center the basis is the other eight
+    u_a: eps(a, -a) = 1, so no bracket of them reaches u_0 and they span a
+    centerless quotient.
+    """
+    group = GradingGroup([3, 3])
+    bichar = Bicharacter(group, [[0, 1], [2, 0]])
+    elements = group.elements()
+    if drop_center:
+        elements = [g for g in elements if g != group.zero()]
+    d = len(elements)
+    one, zero = CycloScalar.one(3), CycloScalar.zero(3)
+    constants = [[[zero] * d for _ in range(d)] for _ in range(d)]
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            c = one - bichar.eps(a, b)
+            if c:
+                constants[i][j][elements.index(a + b)] = c
+    return ColorAlgebra(group, bichar, elements, constants)
+
+
+def _algebra(name):
+    if name.startswith("torus3"):
+        return _torus3(drop_center=name == "torus3/Z")
+    return catalog.get(name)
+
+
+def _reference_preimage(a, target):
+    # rows indexed by (k, l) row-major, columns by i: entry c[i][l][k]
+    d = a.dim
+    rows = [[a.constants[i][l][k] for i in range(d)] for k in range(d) for l in range(d)]
+    b = [target.matrix[k][l] for k in range(d) for l in range(d)]
+    return MatrixExact(a.conductor, rows, cols=d).solve(b)
+
+
+def _random_homogeneous(rng, a):
+    gamma = a.degrees[rng.randrange(a.dim)]
+    return tuple(
+        a.scalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        if a.degrees[i] == gamma else a.zero_scalar()
+        for i in range(a.dim)
+    )
+
+
+@pytest.mark.parametrize("name", CATALOG + ("torus3", "torus3/Z"))
+def test_factored_preimage_equals_reference_solve(name):
+    a = _algebra(name)
+    rng = random.Random(f"preimage:{name}")
+    targets = [ad(a, a.basis_vector(i)) for i in range(a.dim)]
+    targets += [ad(a, _random_homogeneous(rng, a)) for _ in range(12)]
+    if a.center().dim:
+        with pytest.raises(PreconditionFailed):
+            _solve_ad_preimage(a, targets[0])
+        return
+    for target in targets:
+        assert _solve_ad_preimage(a, target) == _reference_preimage(a, target), name
+
+
+def test_centerless_cases_are_covered():
+    centerless = [n for n in CATALOG + ("torus3", "torus3/Z") if not _algebra(n).center().dim]
+    assert centerless == ["sl2", "aff2", "colorSl2", "osp12", "torus3/Z"]
+
+
+def test_targets_outside_ad_image_raise():
+    sl2 = catalog.get("sl2")
+    d = sl2.dim
+    z, o = sl2.zero_scalar(), sl2.one_scalar()
+    identity = GradedMap(sl2, sl2.group.zero(), [[o if k == j else z for j in range(d)] for k in range(d)])
+    with pytest.raises(NoSolution):
+        _reference_preimage(sl2, identity)
+    with pytest.raises(NoSolution):
+        _solve_ad_preimage(sl2, identity)
+    # ad(e) with each entry in turn bumped by one lies outside ad(L)
+    ad_e = ad(sl2, sl2.basis_vector(0))
+    for k in range(d):
+        for l in range(d):
+            grid = [list(row) for row in ad_e.matrix]
+            grid[k][l] = grid[k][l] + 1
+            bumped = GradedMap(sl2, sl2.group.zero(), grid)
+            with pytest.raises(NoSolution):
+                _reference_preimage(sl2, bumped)
+            with pytest.raises(NoSolution):
+                _solve_ad_preimage(sl2, bumped)
+
+
+def test_delta_surfaces_targets_outside_ad_image():
+    # a matrix unit is no derivation; [E_00, ad f] leaves ad(L)
+    sl2 = catalog.get("sl2")
+    d = sl2.dim
+    z, o = sl2.zero_scalar(), sl2.one_scalar()
+    unit = GradedMap(sl2, sl2.group.zero(), [[o if k == j == 0 else z for j in range(d)] for k in range(d)])
+    with pytest.raises(NoSolution):
+        delta(sl2, unit, 3)
+
+
+def test_preimage_needs_zero_center():
+    heis = catalog.get("heis3")
+    with pytest.raises(PreconditionFailed):
+        _solve_ad_preimage(heis, GradedMap.zero(heis, heis.group.zero()))
+
+
+def _dense_bracket(d1, d2):
+    a = d1.algebra
+    d = a.dim
+    e = a.bichar.eps(d1.degree, d2.degree)
+    m1, m2 = d1.matrix, d2.matrix
+    grid = []
+    for k in range(d):
+        row = []
+        for j in range(d):
+            acc = a.zero_scalar()
+            for l in range(d):
+                acc = acc + m1[k][l] * m2[l][j] - e * (m2[k][l] * m1[l][j])
+            row.append(acc)
+        grid.append(row)
+    return GradedMap(a, d1.degree + d2.degree, grid)
+
+
+@pytest.mark.parametrize("name", ("sl2", "colorSl2", "osp12"))
+def test_sparse_map_bracket_equals_dense_reference(name):
+    a = catalog.get(name)
+    maps = n_derivation_space(a, 2).basis_maps()
+    maps += [GradedMap.zero(a, g) for g in (a.group.zero(), a.degrees[-1])]
+    for d1 in maps:
+        for d2 in maps:
+            got, ref = map_bracket(d1, d2), _dense_bracket(d1, d2)
+            assert got.degree == ref.degree and got.matrix == ref.matrix, name

@@ -256,31 +256,45 @@ class ColorAlgebra:
         report = AxiomReport(grading=self.grading_violations())
         d = self.dim
         eps = [[self.bichar.eps(di, dj) for dj in self.degrees] for di in self.degrees]
-        for i in range(d):
-            for j in range(d):
-                e = eps[i][j]
-                lhs = self.constants[i][j]
-                rhs = self.constants[j][i]
-                if any(a + e * b for a, b in zip(lhs, rhs)):
-                    report.antisymmetry.append((i, j))
         nz = self._nonzero_constants()
         zero = self.zero_scalar()
-
-        def add_nested(total, t, x, y, z):
-            # total += t * [e_x, [e_y, e_z]], read off the nonzero constants
-            for l, c in nz[y][z]:
-                s = t * c
-                for p, b in nz[x][l]:
-                    total[p] = total.get(p, zero) + s * b
-
+        for i in range(d):
+            for j in range(d):
+                # [e_i, e_j] + eps(i, j) [e_j, e_i], on the nonzero constants
+                e = eps[i][j]
+                total = dict(nz[i][j])
+                for k, b in nz[j][i]:
+                    total[k] = total.get(k, zero) + e * b
+                if any(total.values()):
+                    report.antisymmetry.append((i, j))
+        # [e_x, [e_y, e_z]] once per (x, y, z), as its nonzero (p, coefficient) pairs
+        nested = {}
+        for x in range(d):
+            for y in range(d):
+                for z in range(d):
+                    out = {}
+                    for l, c in nz[y][z]:
+                        for p, b in nz[x][l]:
+                            out[p] = out.get(p, zero) + c * b
+                    nested[x, y, z] = [(p, v) for p, v in out.items() if v]
+        # the cyclic sum of (i, j, k) has the same three terms as those of
+        # (j, k, i) and (k, i, j), so it is evaluated once per rotation class
+        holds = {}
         for i in range(d):
             for j in range(d):
                 for k in range(d):
-                    total = {}
-                    add_nested(total, eps[k][i], i, j, k)
-                    add_nested(total, eps[i][j], j, k, i)
-                    add_nested(total, eps[j][k], k, i, j)
-                    if any(total.values()):
+                    key = min((i, j, k), (j, k, i), (k, i, j))
+                    if key not in holds:
+                        total = {}
+                        for t, term in (
+                            (eps[k][i], (i, j, k)),
+                            (eps[i][j], (j, k, i)),
+                            (eps[j][k], (k, i, j)),
+                        ):
+                            for p, v in nested[term]:
+                                total[p] = total.get(p, zero) + t * v
+                        holds[key] = not any(total.values())
+                    if not holds[key]:
                         report.jacobi.append((i, j, k))
         return report
 

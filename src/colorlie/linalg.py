@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q(zeta_m).
+"""Exact linear algebra over Q(zeta_m).
 
 Everything here is deterministic and canonical: Gaussian elimination picks
 the leftmost nonzero column and the topmost candidate row, reduced row
@@ -7,11 +7,16 @@ set free variables by the standard unit-vector convention, and ``solve``
 puts zeros in the free coordinates. Two subspaces are equal exactly when
 their canonical bases are literally equal.
 
-Dense representation on purpose: derivation systems at desk scale stay
-small enough that exactness and reproducibility dominate any sparsity win.
+Rows are dense lists of scalars, so every entry stays addressable by its
+column, but the updates are sparse: elimination and ``coordinates_of``
+multiply and subtract only at the nonzero entries of the row they combine,
+where most entries of a derivation system are zero.
 """
 
 from __future__ import annotations
+
+from bisect import insort
+from operator import itemgetter
 
 from .errors import AmbientMismatch, DimensionMismatch, NoSolution
 from .scalars import CycloScalar
@@ -25,30 +30,41 @@ def _rref_rows(rows, cols):
     result is the unique RREF of the row space, zero rows dropped. Once the
     rank reaches ``cols`` the RREF is the identity whatever follows, so no
     further row is pulled from ``rows``.
+
+    Each echelon row carries the list of its nonzero columns, and every
+    update runs over such a list only: an incoming row is reduced at the
+    nonzero columns of the echelon rows it meets, normalized at its own,
+    and subtracted from the echelon rows at its own; the rows it changed
+    then get their column lists refreshed.
     """
-    echelon = []  # (pivot_col, normalized row), kept sorted by pivot_col
+    echelon = []  # [pivot_col, normalized row, its nonzero columns], by pivot_col
     rows = iter(rows)
     while len(echelon) < cols:
         row = next(rows, None)
         if row is None:
             break
         work = list(row)
-        for pc, prow in echelon:
+        for pc, prow, pnz in echelon:
             c = work[pc]
             if c:
-                work = [a - c * b for a, b in zip(work, prow)]
-        lead = next((i for i, a in enumerate(work) if a), None)
-        if lead is None:
+                for j in pnz:
+                    work[j] = work[j] - c * prow[j]
+        nz = [i for i, a in enumerate(work) if a]
+        if not nz:
             continue
+        lead = nz[0]
         inv = work[lead].inv()
-        work = [a * inv for a in work]
-        for idx, (pc, prow) in enumerate(echelon):
+        for j in nz:
+            work[j] = work[j] * inv
+        for entry in echelon:
+            prow = entry[1]
             c = prow[lead]
             if c:
-                echelon[idx] = (pc, [a - c * b for a, b in zip(prow, work)])
-        echelon.append((lead, work))
-        echelon.sort(key=lambda t: t[0])
-    return [r for _, r in echelon], [pc for pc, _ in echelon]
+                for j in nz:
+                    prow[j] = prow[j] - c * work[j]
+                entry[2] = [j for j in sorted({*entry[2], *nz}) if prow[j]]
+        insort(echelon, [lead, work, nz], key=itemgetter(0))
+    return [r for _, r, _ in echelon], [pc for pc, _, _ in echelon]
 
 
 class MatrixExact:
@@ -229,7 +245,9 @@ class Subspace:
             c = vec[pc]
             coeffs.append(c)
             if c:
-                vec = [x - c * y for x, y in zip(vec, row)]
+                for j, y in enumerate(row):
+                    if y:
+                        vec[j] = vec[j] - c * y
         if any(vec):
             return None
         return coeffs

@@ -14,6 +14,10 @@ and reduced on parse. Serialization emits the reduced form with terms in
 decreasing degree.
 
 No floating point is used anywhere.
+
+Arithmetic results are built by the private ``_trusted``, which stores an
+already reduced tuple of phi(m) ``Fraction`` coefficients as it is; outside
+input goes through ``CycloScalar(m, coeffs)``, which coerces and reduces.
 """
 
 from __future__ import annotations
@@ -170,7 +174,7 @@ class CycloScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloScalar(
+        return _trusted(
             self.conductor, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
         )
 
@@ -180,7 +184,7 @@ class CycloScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloScalar(
+        return _trusted(
             self.conductor, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
         )
 
@@ -191,7 +195,7 @@ class CycloScalar:
         return o - self
 
     def __neg__(self):
-        return CycloScalar(self.conductor, tuple(-a for a in self.coeffs))
+        return _trusted(self.conductor, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -199,14 +203,14 @@ class CycloScalar:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
         if len(a) == 1:
-            return CycloScalar(self.conductor, (a[0] * b[0],))
+            return _trusted(self.conductor, (a[0] * b[0],))
         prod = [Fraction(0)] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
-        return CycloScalar(self.conductor, _reduce_mod_phi(prod, self.conductor))
+        return _trusted(self.conductor, _reduce_mod_phi(prod, self.conductor))
 
     __rmul__ = __mul__
 
@@ -215,7 +219,7 @@ class CycloScalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
         if len(self.coeffs) == 1:
-            return CycloScalar(self.conductor, (1 / self.coeffs[0],))
+            return _trusted(self.conductor, (1 / self.coeffs[0],))
         # Invert a mod Phi_m in Q[x]: maintain r = s*a + t*Phi, track s only.
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
         r0, r1 = phi, list(self.coeffs)
@@ -228,7 +232,7 @@ class CycloScalar:
         g = next(c for c in reversed(r0) if c)
         assert all(c == 0 for c in r0[1:]), "gcd with Phi_m is not constant"
         s0 = [c / g for c in s0]
-        return CycloScalar(self.conductor, _reduce_mod_phi(s0, self.conductor))
+        return _trusted(self.conductor, _reduce_mod_phi(s0, self.conductor))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -280,13 +284,26 @@ class CycloScalar:
     __hash__ = None  # cross-conductor equality has no cheap canonical hash
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __repr__(self):
         return f"CycloScalar(m={self.conductor}, {format_scalar(self)!r})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+_set_conductor = CycloScalar.conductor.__set__
+_set_coeffs = CycloScalar.coeffs.__set__
+
+
+def _trusted(conductor: int, coeffs: tuple) -> CycloScalar:
+    # coeffs must already be a reduced tuple of exactly phi(conductor)
+    # Fractions, as the arithmetic produces; nothing is checked or copied
+    s = object.__new__(CycloScalar)
+    _set_conductor(s, conductor)
+    _set_coeffs(s, coeffs)
+    return s
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):

@@ -71,3 +71,16 @@ def test_ad_preimages_use_one_factorization_per_algebra():
     assert counter["linalg.rows_in"] <= 400
     # delta brackets each [D, ad e_j] once: 5 basis maps x 5, plus 5 x 5 in Der(A)
     assert counter["maps.bracket_calls"] <= 50
+
+
+
+# Products through zero entries of the rows, and double brackets that the Jacobi
+# check evaluated three times each, used to come to 1,620 and 167 products.
+
+
+def test_osp12_products_touch_only_nonzero_entries():
+    assert _counted("osp12", 4)["scalars.mul_calls"] <= 900
+
+
+def test_sl2_products_touch_only_nonzero_entries():
+    assert _counted("sl2", 3)["scalars.mul_calls"] <= 100

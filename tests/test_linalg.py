@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorlie.errors import AmbientMismatch, DimensionMismatch, NoSolution
 from colorlie.linalg import MatrixExact, Subspace, _rref_rows, kernel_from_rows
@@ -157,3 +158,119 @@ def _random_subspace_simple(rng, ambient, conductor):
             row.append(c)
         rows.append(row)
     return Subspace.from_rows(ambient, rows, conductor)
+
+
+# -- sparse elimination against the dense reference --------------------------
+
+
+def _dense_rref_rows(rows, cols):
+    # the dense elimination the sparse one replaced, kept as the reference
+    echelon = []
+    rows = iter(rows)
+    while len(echelon) < cols:
+        row = next(rows, None)
+        if row is None:
+            break
+        work = list(row)
+        for pc, prow in echelon:
+            c = work[pc]
+            if c:
+                work = [a - c * b for a, b in zip(work, prow)]
+        lead = next((i for i, a in enumerate(work) if a), None)
+        if lead is None:
+            continue
+        inv = work[lead].inv()
+        work = [a * inv for a in work]
+        for idx, (pc, prow) in enumerate(echelon):
+            c = prow[lead]
+            if c:
+                echelon[idx] = (pc, [a - c * b for a, b in zip(prow, work)])
+        echelon.append((lead, work))
+        echelon.sort(key=lambda t: t[0])
+    return [r for _, r in echelon], [pc for pc, _ in echelon]
+
+
+def _dense_kernel(rows, cols, conductor):
+    reduced, pivots = _dense_rref_rows(rows, cols)
+    z, o = CycloScalar.zero(conductor), CycloScalar.one(conductor)
+    vectors = []
+    for f in (f for f in range(cols) if f not in pivots):
+        v = [z] * cols
+        v[f] = o
+        for prow, pc in zip(reduced, pivots):
+            v[pc] = -prow[f]
+        vectors.append(v)
+    return _dense_rref_rows(vectors, cols)[0]
+
+
+def _dense_coordinates(basis, vector):
+    vec = list(vector)
+    coeffs = []
+    for row in basis:
+        pc = next(i for i, a in enumerate(row) if a)
+        c = vec[pc]
+        coeffs.append(c)
+        vec = [x - c * y for x, y in zip(vec, row)]
+    return None if any(vec) else coeffs
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Rows over Q(zeta_m) with about 20% nonzero entries, rational or root-of-unity
+    multiples, plus rows that are combinations of earlier ones (rank deficiency);
+    up to 12 rows on at most 7 columns."""
+    m = draw(st.sampled_from((1, 3, 4, 5)))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    nrows = draw(st.integers(min_value=0, max_value=12))
+
+    def entry():
+        if draw(st.integers(min_value=0, max_value=4)):
+            return CycloScalar.zero(m)
+        q = Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3)))
+        return q * CycloScalar.root(m, draw(st.integers(min_value=0, max_value=m - 1)))
+
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and not draw(st.integers(min_value=0, max_value=3)):
+            a, b = draw(st.permutations(range(len(rows))))[:2]
+            c = entry() or CycloScalar.one(m)
+            rows.append([x + c * y for x, y in zip(rows[a], rows[b])])
+        else:
+            rows.append([entry() for _ in range(cols)])
+    return m, cols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_systems())
+def test_sparse_elimination_equals_dense_reference(system):
+    m, cols, rows = system
+    assert _rref_rows(rows, cols) == _dense_rref_rows(rows, cols)
+    assert kernel_from_rows(rows, cols, m).basis.entries == tuple(
+        tuple(r) for r in _dense_kernel(rows, cols, m)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_systems(), st.data())
+def test_sparse_coordinates_equal_dense_reference(system, data):
+    m, cols, rows = system
+    space = Subspace.from_rows(cols, rows, m)
+    basis = space.basis.entries
+    weights = [
+        data.draw(st.integers(min_value=-2, max_value=2)) * CycloScalar.one(m) for _ in basis
+    ]
+    inside = [CycloScalar.zero(m)] * cols
+    for w, row in zip(weights, basis):
+        inside = [x + w * y for x, y in zip(inside, row)]
+    assert space.coordinates_of(inside) == weights
+    probe = rows[0] if rows else inside
+    outside = list(probe)
+    outside[data.draw(st.integers(min_value=0, max_value=cols - 1))] += 1
+    for vector in (inside, probe, outside):
+        assert space.coordinates_of(vector) == _dense_coordinates(basis, vector)
+    if space.dim < cols:
+        # every nonzero vector of the span leads at a pivot, so e_f at a free f is outside
+        f = next(f for f in range(cols) if f not in space.pivots)
+        unit = [CycloScalar.zero(m)] * cols
+        unit[f] = CycloScalar.one(m)
+        assert space.coordinates_of(unit) is None

@@ -206,3 +206,43 @@ def test_format_parse_round_trip():
         m = rng.choice((1, 2, 3, 4, 6, 12))
         a = _random_scalar(rng, m)
         assert parse_scalar(format_scalar(a), m) == a
+
+
+def _assert_canonical(s, m):
+    # the representation the public constructor would build from the same value
+    assert s.conductor == m
+    assert len(s.coeffs) == totient(m)
+    assert all(type(c) is Fraction for c in s.coeffs)
+    assert CycloScalar(m, s.coeffs).coeffs == s.coeffs
+
+
+_fractions = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=5)
+)
+
+
+@st.composite
+def _scalar_pairs(draw):
+    m = draw(st.sampled_from((1, 2, 3, 4, 5, 12)))
+    a, b = (
+        CycloScalar(m, draw(st.lists(_fractions, min_size=totient(m), max_size=totient(m))))
+        for _ in range(2)
+    )
+    return m, a, b, draw(st.integers(min_value=-3, max_value=3))
+
+
+@given(_scalar_pairs())
+def test_every_operation_returns_the_canonical_representation(case):
+    m, a, b, k = case
+    results = [a + b, a - b, -a, a * b, a + 2, 2 - a, 3 * a, a ** abs(k)]
+    if b:
+        results += [b.inv(), a / b, 1 / b, b ** k]
+    results += [
+        CycloScalar.from_rational(Fraction(k, 7), m),
+        parse_scalar(format_scalar(a), m),
+        parse_scalar("1/2*z^7 - z + 3", m),
+    ]
+    for s in results:
+        _assert_canonical(s, m)
+    for wider in (m, 2 * m, 3 * m):
+        _assert_canonical(a.lift(wider), wider)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, NonHomogeneous, TooFewArguments, ValidationError
 from .grading import Bicharacter, GradingGroup, GroupElement
-from .linalg import MatrixExact, Subspace
+from .linalg import Subspace, kernel_from_rows
 from .scalars import CycloScalar, parse_scalar
 
 
@@ -325,24 +325,29 @@ class ColorAlgebra:
         return cached
 
     def centralizer(self, vectors) -> Subspace:
-        """Kernel of v -> ([v, s])_{s in vectors}; empty set gives the full space."""
-        rows = []
-        for s in vectors:
-            if len(s) != self.dim:
-                raise DimensionMismatch("centralizer argument has wrong length")
-            # coefficient of v_i in [v, s]_k is sum_j s_j c[i][j][k]
-            for k in range(self.dim):
-                row = []
-                for i in range(self.dim):
-                    acc = CycloScalar.zero(self.conductor)
+        """Kernel of v -> ([v, s])_{s in vectors}; empty set gives the full space.
+
+        The rows of one s are built only when the elimination asks for them,
+        so none is built once the rank is full.
+        """
+        vectors = list(vectors)
+        if any(len(s) != self.dim for s in vectors):
+            raise DimensionMismatch("centralizer argument has wrong length")
+        d = self.dim
+        nz = self._nonzero_constants()
+
+        def rows():
+            for s in vectors:
+                # coefficient of v_i in [v, s]_k is sum_j s_j c[i][j][k]
+                grid = [[self.zero_scalar()] * d for _ in range(d)]
+                for i in range(d):
                     for j, sj in enumerate(s):
                         if sj:
-                            c = self.constants[i][j][k]
-                            if c:
-                                acc = acc + sj * c
-                    row.append(acc)
-                rows.append(row)
-        return MatrixExact(self.conductor, rows, cols=self.dim).kernel()
+                            for k, c in nz[i][j]:
+                                grid[k][i] = grid[k][i] + sj * c
+                yield from grid
+
+        return kernel_from_rows(rows(), d, self.conductor)
 
     def __eq__(self, other):
         if self is other:

@@ -21,6 +21,7 @@ import time
 from . import catalog
 from .derivations import (
     DEFAULT_MAX_N,
+    GradedMap,
     n_derivation_space,
     verify_ad_compat,
     verify_centralizer_trivial,
@@ -143,7 +144,7 @@ def _cmd_der(a, args, report, lines):
     for gamma, sub in space.blocks.items():
         basis = [
             [[format_scalar(c) for c in row] for row in
-             _block_matrix(a, gamma, vec)]
+             GradedMap.from_block_vector(a, gamma, vec).matrix]
             for vec in sub.basis.entries
         ]
         blocks.append(
@@ -159,12 +160,6 @@ def _cmd_der(a, args, report, lines):
     report["passed"] = True
     lines.append(f"total dim: {space.total_dim}")
     return 0
-
-
-def _block_matrix(a, gamma, vec):
-    from .derivations import GradedMap
-
-    return GradedMap.from_block_vector(a, gamma, vec).matrix
 
 
 def _cmd_verify(a, args, report, lines):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -45,10 +45,11 @@ from .errors import (
     AlgebraMismatch,
     BadArity,
     NoSolution,
+    NotClosed,
     PreconditionFailed,
 )
 from .grading import GroupElement
-from .linalg import MatrixExact, Subspace, kernel_from_rows
+from .linalg import Subspace, kernel_from_rows
 from .scalars import CycloScalar
 
 DEFAULT_MAX_N = 4
@@ -156,34 +157,48 @@ def _ad_grid(a: ColorAlgebra, x) -> list:
     return grid
 
 
+def _ad_basis(a: ColorAlgebra) -> tuple:
+    """ad(e_i) for every basis index i, built once per algebra."""
+    maps = a._cache.get("ad_basis")
+    if maps is None:
+        maps = a._cache["ad_basis"] = tuple(ad(a, a.basis_vector(i)) for i in range(a.dim))
+    return maps
+
+
 class DerivationSpace:
     """A per-degree direct sum of graded-map spaces; blocks cover all of the group.
 
     ``blocks`` may leave out degrees; each one left out holds one shared zero
     space of ambient dimension 0, as every degree off the support does.
+
+    The space owns its basis layout: ``basis_maps()`` lists the block bases
+    degree by degree, and ``coordinates(D)`` gives D's coefficients in that
+    order, or None when D lies outside the space.
     """
 
-    __slots__ = ("algebra", "n", "blocks")
+    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets")
 
     def __init__(self, algebra: ColorAlgebra, n: int, blocks: dict):
         empty = Subspace.zero(0, algebra.conductor)
         blocks = {gamma: blocks.get(gamma, empty) for gamma in algebra.group.elements()}
+        # where each populated block's coefficients start in basis_maps() order
+        offsets = {}
+        total = 0
+        for gamma, sub in blocks.items():
+            if sub.dim:
+                offsets[gamma] = total
+                total += sub.dim
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "total_dim", total)
+        object.__setattr__(self, "_offsets", offsets)
 
     def __setattr__(self, name, value):
         raise AttributeError("DerivationSpace is immutable")
 
-    @property
-    def total_dim(self) -> int:
-        return sum(s.dim for s in self.blocks.values())
-
     def block(self, gamma: GroupElement) -> Subspace:
         return self.blocks[gamma]
-
-    def block_dims(self) -> list:
-        return [(gamma, s.dim) for gamma, s in self.blocks.items()]
 
     def basis_maps(self) -> list:
         """Every block-basis vector reassembled as a GradedMap, in canonical order."""
@@ -193,15 +208,21 @@ class DerivationSpace:
                 maps.append(GradedMap.from_block_vector(self.algebra, gamma, row))
         return maps
 
-    def contains_map(self, D: GradedMap) -> bool:
-        if D.is_zero():
-            return True
+    def coordinates(self, D: GradedMap):
+        """D's coefficients over ``basis_maps()``, or None when D is outside the space."""
         if D.algebra != self.algebra:
             raise AlgebraMismatch("map is over a different algebra")
-        sub = self.blocks.get(D.degree)
-        if sub is None:
-            return False
-        return sub.contains_vector(D.block_vector())
+        start = self._offsets.get(D.degree)
+        if start is None:
+            return (self.algebra.zero_scalar(),) * self.total_dim if D.is_zero() else None
+        local = self.blocks[D.degree].coordinates_of(D.block_vector())
+        if local is None:
+            return None
+        z = self.algebra.zero_scalar()
+        return (z,) * start + tuple(local) + (z,) * (self.total_dim - start - len(local))
+
+    def contains_map(self, D: GradedMap) -> bool:
+        return self.coordinates(D) is not None
 
     def __repr__(self):
         dims = {tuple(g.residues): s.dim for g, s in self.blocks.items()}
@@ -373,11 +394,7 @@ def inner_derivation_space(a: ColorAlgebra) -> DerivationSpace:
     m = a.conductor
     blocks = {}
     for gamma, coords in a.degree_table().blocks.items():
-        rows = [
-            ad(a, a.basis_vector(i)).block_vector()
-            for i in range(a.dim)
-            if a.degrees[i] == gamma
-        ]
+        rows = [x.block_vector() for x in _ad_basis(a) if x.degree == gamma]
         blocks[gamma] = Subspace.from_rows(len(coords), rows, m)
     space = DerivationSpace(a, 2, blocks)
     a._cache["inner"] = space
@@ -430,10 +447,10 @@ def _ad_factor(a: ColorAlgebra) -> tuple:
     cached = a._cache.get("ad_factor")
     if cached is None:
         d = a.dim
-        rows = []
-        for i in range(d):
-            x = a.basis_vector(i)
-            rows.append([c for row in _ad_grid(a, x) for c in row] + list(x))
+        rows = [
+            [c for row in x.matrix for c in row] + list(a.basis_vector(i))
+            for i, x in enumerate(_ad_basis(a))
+        ]
         span = Subspace.from_rows(d * d + d, rows, a.conductor)
         pivots = span.pivots
         if pivots and pivots[-1] >= d * d:
@@ -466,6 +483,24 @@ def _solve_ad_preimage(a: ColorAlgebra, target: GradedMap) -> tuple:
     return tuple(y)
 
 
+def _ad_preimages(a: ColorAlgebra, targets) -> list:
+    """The d x d grid whose column j is the y with ad(y) = the j-th target.
+
+    Targets are taken one at a time, so none is built after a failing
+    column; NoSolution names that column.
+    """
+    z = a.zero_scalar()
+    grid = [[z] * a.dim for _ in range(a.dim)]
+    for j, target in enumerate(targets):
+        try:
+            y = _solve_ad_preimage(a, target)
+        except NoSolution as exc:
+            raise NoSolution(f"the target for e_{j} fell outside ad(L)") from exc
+        for k in range(a.dim):
+            grid[k][j] = y[k]
+    return grid
+
+
 def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:
     """The map with [D, ad x] = ad(delta(x)) for all x, for perfect centerless algebras.
 
@@ -482,19 +517,7 @@ def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:
         raise PreconditionFailed("delta needs a perfect algebra")
     if a.center().dim != 0:
         raise PreconditionFailed("delta needs a zero center")
-    d = a.dim
-    z = a.zero_scalar()
-    grid = [[z] * d for _ in range(d)]
-    for j in range(d):
-        target = map_bracket(D, ad(a, a.basis_vector(j)))
-        try:
-            y = _solve_ad_preimage(a, target)
-        except NoSolution as exc:
-            raise NoSolution(
-                f"[D, ad e_{j}] fell outside ad(L); inner-ideal consistency broken"
-            ) from exc
-        for k in range(d):
-            grid[k][j] = y[k]
+    grid = _ad_preimages(a, (map_bracket(D, x) for x in _ad_basis(a)))
     return GradedMap(a, D.degree, grid)
 
 
@@ -507,42 +530,20 @@ def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAl
     pair (NotClosed on the first escape), and the result must pass the
     axiom check.
     """
-    from .errors import NotClosed
-
     maps = space.basis_maps()
-    degrees = [mp.degree for mp in maps]
     r = len(maps)
-    m = a.conductor
-    zero = CycloScalar.zero(m)
-    # global index of each block-basis row, per degree
-    offsets = {}
-    pos = 0
-    for gamma, sub in space.blocks.items():
-        offsets[gamma] = list(range(pos, pos + sub.dim))
-        pos += sub.dim
-    grid = [[[zero] * r for _ in range(r)] for _ in range(r)]
+    grid = [[None] * r for _ in range(r)]
     for p in range(r):
         for q in range(r):
-            br = map_bracket(maps[p], maps[q])
-            if br.is_zero():
-                continue
-            gamma = br.degree
-            sub = space.blocks.get(gamma)
-            if sub is None or sub.dim == 0:
+            grid[p][q] = space.coordinates(map_bracket(maps[p], maps[q]))
+            if grid[p][q] is None:
                 raise NotClosed(
                     f"bracket of basis maps ({p}, {q}) escapes the space", (p, q)
                 )
-            coeffs = sub.coordinates_of(br.block_vector())
-            if coeffs is None:
-                raise NotClosed(
-                    f"bracket of basis maps ({p}, {q}) escapes the space", (p, q)
-                )
-            for local, c in enumerate(coeffs):
-                grid[p][q][offsets[gamma][local]] = c
     result = ColorAlgebra(
         a.group,
         a.bichar,
-        degrees,
+        [mp.degree for mp in maps],
         grid,
         names=tuple(f"D{i + 1}" for i in range(r)),
     )
@@ -555,6 +556,15 @@ def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAl
 
 
 # -- verification reports ----------------------------------------------------
+
+
+def _compare_blocks(s: DerivationSpace, t: DerivationSpace) -> tuple:
+    """Per degree, in group order: (residues, dim in s, dim in t, equal); and all equal."""
+    rows = [
+        (list(gamma.residues), x.dim, t.blocks[gamma].dim, x == t.blocks[gamma])
+        for gamma, x in s.blocks.items()
+    ]
+    return rows, all(row[3] for row in rows)
 
 
 @dataclass
@@ -606,13 +616,7 @@ def verify_nder_equals_der(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_
     """
     der = n_derivation_space(a, 2, max_n=max_n)
     nder = n_derivation_space(a, n, max_n=max_n)
-    blocks = []
-    equal = True
-    for gamma in a.group.elements():
-        s, t = der.block(gamma), nder.block(gamma)
-        eq = s == t
-        equal = equal and eq
-        blocks.append((list(gamma.residues), s.dim, t.dim, eq))
+    blocks, equal = _compare_blocks(der, nder)
     is_perfect = a.is_perfect()
     center_dim = a.center().dim
     fixed = None
@@ -689,40 +693,16 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     der = n_derivation_space(a, 2, max_n=max_n)
     # Der is used as the algebra below; record that it matches nDer on the base
     nder_base = n_derivation_space(a, n, max_n=max_n)
-    base_match = der.blocks == nder_base.blocks
+    base_match = _compare_blocks(der, nder_base)[1]
     A = derivation_color_algebra(a, der)
     nder_A = n_derivation_space(A, n, max_n=max_n)
     inner_A = inner_derivation_space(A)
-
-    blocks = []
-    equal = True
-    for gamma in A.group.elements():
-        s, t = inner_A.block(gamma), nder_A.block(gamma)
-        eq = s == t
-        equal = equal and eq
-        blocks.append((list(gamma.residues), s.dim, t.dim, eq))
+    blocks, equal = _compare_blocks(inner_A, nder_A)
 
     # coordinates of each ad(e_i) of the base algebra inside A
-    offsets = {}
-    pos = 0
-    for gamma, sub in der.blocks.items():
-        offsets[gamma] = (pos, sub)
-        pos += sub.dim
-    z = A.zero_scalar()
-
-    def coords_in_A(mp: GradedMap) -> tuple:
-        vec = [z] * A.dim
-        if mp.is_zero():
-            return tuple(vec)
-        start, sub = offsets[mp.degree]
-        coeffs = sub.coordinates_of(mp.block_vector())
-        if coeffs is None:
-            raise NoSolution("an inner map of the base algebra escaped Der")
-        for local, c in enumerate(coeffs):
-            vec[start + local] = c
-        return tuple(vec)
-
-    ad_image_rows = [coords_in_A(ad(a, a.basis_vector(i))) for i in range(a.dim)]
+    ad_image_rows = [der.coordinates(x) for x in _ad_basis(a)]
+    if None in ad_image_rows:
+        raise NoSolution("an inner map of the base algebra escaped Der")
     ad_image = Subspace.from_rows(A.dim, ad_image_rows, A.conductor)
     # nonzero entries of each basis map of Der, from which witness targets are summed
     der_maps = der.basis_maps()
@@ -730,6 +710,17 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
         [(k, l, c) for k, row in enumerate(mp.matrix) for l, c in enumerate(row) if c]
         for mp in der_maps
     ]
+    z = a.zero_scalar()
+
+    def der_map(coeffs) -> GradedMap:
+        grid = [[z] * a.dim for _ in range(a.dim)]
+        degree = a.group.zero()
+        for p, c in enumerate(coeffs):
+            if c:
+                degree = der_maps[p].degree
+                for k, l, v in der_entries[p]:
+                    grid[k][l] = grid[k][l] + c * v
+        return GradedMap(a, degree, grid)
 
     preserves = True
     witness_failures = []
@@ -739,25 +730,9 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
             if not ad_image.contains_vector(D.apply(row)):
                 preserves = False
         # witness d with D(ad x) = ad(d(x)) on all basis x
-        d_grid = [[a.zero_scalar()] * a.dim for _ in range(a.dim)]
-        ok = True
-        for j in range(a.dim):
-            grid = [[z] * a.dim for _ in range(a.dim)]
-            degree = a.group.zero()
-            for p, c in enumerate(D.apply(ad_image_rows[j])):
-                if c:
-                    degree = der_maps[p].degree
-                    for k, l, v in der_entries[p]:
-                        grid[k][l] = grid[k][l] + c * v
-            target = GradedMap(a, degree, grid)
-            try:
-                y = _solve_ad_preimage(a, target)
-            except NoSolution:
-                ok = False
-                break
-            for k in range(a.dim):
-                d_grid[k][j] = y[k]
-        if not ok:
+        try:
+            d_grid = _ad_preimages(a, (der_map(D.apply(row)) for row in ad_image_rows))
+        except NoSolution:
             witness_failures.append(idx)
             witnesses.append(None)
             continue
@@ -785,20 +760,23 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     )
 
 
-@dataclass
-class ClosureReport:
-    """Random bracket-closure trials on homogeneous n-derivation combinations."""
-
-    n: int
-    trials: int
-    failures: list = field(default_factory=list)
+class _LemmaReport:
+    """A lemma report that lists its failures; it passes when there are none."""
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
-    def to_jsonable(self) -> dict:
-        return {"n": self.n, "trials": self.trials, "failures": self.failures}
+    to_jsonable = asdict
+
+
+@dataclass
+class ClosureReport(_LemmaReport):
+    """Random bracket-closure trials on homogeneous n-derivation combinations."""
+
+    n: int
+    trials: int
+    failures: list = field(default_factory=list)
 
 
 def verify_closure(a: ColorAlgebra, n: int, trials: int, *, seed: int = 0,
@@ -831,18 +809,11 @@ def verify_closure(a: ColorAlgebra, n: int, trials: int, *, seed: int = 0,
 
 
 @dataclass
-class InnerIdealReport:
+class InnerIdealReport(_LemmaReport):
     """Whether [nDer, ad(L)] lands back in ad(L)."""
 
     n: int
     failures: list = field(default_factory=list)  # (basis map index, basis vector index)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_jsonable(self) -> dict:
-        return {"n": self.n, "failures": [list(f) for f in self.failures]}
 
 
 def verify_inner_ideal(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -> InnerIdealReport:
@@ -852,9 +823,8 @@ def verify_inner_ideal(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     inner = inner_derivation_space(a)
     report = InnerIdealReport(n=n)
     for p, D in enumerate(nder.basis_maps()):
-        for i in range(a.dim):
-            br = map_bracket(D, ad(a, a.basis_vector(i)))
-            if not inner.contains_map(br):
+        for i, x in enumerate(_ad_basis(a)):
+            if not inner.contains_map(map_bracket(D, x)):
                 report.failures.append((p, i))
     return report
 
@@ -893,13 +863,15 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
         basis = [
             GradedMap.from_block_vector(a, gamma, row) for row in sub.basis.entries
         ]
-        rows = []
-        for j in range(a.dim):
-            brackets = [map_bracket(B, ad(a, a.basis_vector(j))) for B in basis]
-            for k in range(a.dim):
-                for l in range(a.dim):
-                    rows.append([B.matrix[k][l] for B in brackets])
-        dim = MatrixExact(a.conductor, rows, cols=r).kernel().dim
+        # one ad(e_j) at a time, so no bracket is built once the rows reach rank r
+        brackets = ([map_bracket(B, x) for B in basis] for x in _ad_basis(a))
+        rows = (
+            [B.matrix[k][l] for B in bs]
+            for bs in brackets
+            for k in range(a.dim)
+            for l in range(a.dim)
+        )
+        dim = kernel_from_rows(rows, r, a.conductor).dim
         report.block_dims.append((list(gamma.residues), dim))
         total += dim
     report.total_dim = total
@@ -907,18 +879,11 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
 
 
 @dataclass
-class DeltaMembershipReport:
+class DeltaMembershipReport(_LemmaReport):
     """Whether delta of every nDer block basis lies in the (n-1)-derivation space."""
 
     n: int
     failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_jsonable(self) -> dict:
-        return {"n": self.n, "failures": self.failures}
 
 
 def verify_delta_membership(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -> DeltaMembershipReport:
@@ -935,26 +900,17 @@ def verify_delta_membership(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
 
 
 @dataclass
-class AdCompatReport:
+class AdCompatReport(_LemmaReport):
     """Whether [D, ad x] = ad(D(x)) for every derivation basis map and basis x."""
 
     failures: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def to_jsonable(self) -> dict:
-        return {"failures": [list(f) for f in self.failures]}
 
 
 def verify_ad_compat(a: ColorAlgebra, *, max_n: int = DEFAULT_MAX_N) -> AdCompatReport:
     der = n_derivation_space(a, 2, max_n=max_n)
     report = AdCompatReport()
     for p, D in enumerate(der.basis_maps()):
-        for i in range(a.dim):
-            lhs = map_bracket(D, ad(a, a.basis_vector(i)))
-            rhs = ad(a, D.apply(a.basis_vector(i)))
-            if lhs != rhs:
+        for i, x in enumerate(_ad_basis(a)):
+            if map_bracket(D, x) != ad(a, D.apply(a.basis_vector(i))):
                 report.failures.append((p, i))
     return report

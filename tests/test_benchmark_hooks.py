@@ -84,3 +84,13 @@ def test_osp12_products_touch_only_nonzero_entries():
 
 def test_sl2_products_touch_only_nonzero_entries():
     assert _counted("sl2", 3)["scalars.mul_calls"] <= 100
+
+
+def test_centralizer_rows_stop_bracketing_at_full_rank():
+    # bracketing all 5 ad(e_j) with the 5 basis maps took 25 brackets; rows
+    # streamed one ad(e_j) at a time reach full rank after two in each block
+    from colorlie import catalog, derivations
+
+    a = catalog.get("osp12")
+    counter = _counted_calls(lambda: derivations.verify_centralizer_trivial(a, 3))
+    assert counter["maps.bracket_calls"] <= 15

@@ -8,6 +8,7 @@ from colorlie import catalog
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
 from colorlie.cli import run
 from colorlie.derivations import (
+    DerivationSpace,
     GradedMap,
     ad,
     block_coordinates,
@@ -25,9 +26,16 @@ from colorlie.derivations import (
     verify_nder_equals_der,
     verify_second_statement,
 )
-from colorlie.errors import BadArity, NonHomogeneous, PreconditionFailed
+from colorlie.errors import (
+    AlgebraMismatch,
+    BadArity,
+    NonHomogeneous,
+    NotClosed,
+    PreconditionFailed,
+)
 from colorlie.fileio import serialize_algebra
 from colorlie.grading import Bicharacter, GradingGroup
+from colorlie.linalg import Subspace
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +284,72 @@ def test_derivation_color_algebra(algebras):
     C = derivation_color_algebra(csl2, n_derivation_space(csl2, 2))
     assert C.check_axioms().ok
     assert sorted(tuple(g.residues) for g in C.degrees) == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_derivation_color_algebra_rejects_a_space_not_closed(algebras):
+    # [ad e, ad f] = ad h escapes span{ad e, ad f}; pair (0, 0) brackets to zero
+    sl2 = algebras["sl2"]
+    gamma = sl2.group.zero()
+    rows = [ad(sl2, sl2.basis_vector(i)).block_vector() for i in (0, 2)]
+    space = DerivationSpace(sl2, 2, {gamma: Subspace.from_rows(9, rows, sl2.conductor)})
+    assert space.total_dim == 2
+    with pytest.raises(NotClosed) as err:
+        derivation_color_algebra(sl2, space)
+    assert err.value.pair == (0, 1)
+
+
+COORDINATE_ENTRIES = ("sl2", "heis3", "aff2", "colorSl2", "osp12", "abelian(2)", "abelian(3)")
+
+
+@pytest.mark.parametrize("name", COORDINATE_ENTRIES)
+def test_coordinates_follow_the_basis_maps(name):
+    a = catalog.get(name)
+    zero, one = a.zero_scalar(), a.one_scalar()
+    rng = random.Random(name)
+    outside = 0
+    for n in (2, 3):
+        space = n_derivation_space(a, n)
+        maps = space.basis_maps()
+        assert len(maps) == space.total_dim
+        for p, D in enumerate(maps):
+            unit = tuple(one if q == p else zero for q in range(len(maps)))
+            assert space.coordinates(D) == unit, (name, n, p)
+        # a combination inside one block comes back as its coefficients
+        for gamma, sub in space.blocks.items():
+            if not sub.dim:
+                continue
+            coeffs = [
+                a.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(sub.dim)
+            ]
+            vec = [zero] * sub.ambient_dim
+            for c, row in zip(coeffs, sub.basis.entries):
+                vec = [x + c * y for x, y in zip(vec, row)]
+            got = space.coordinates(GradedMap.from_block_vector(a, gamma, vec))
+            start = [mp.degree for mp in maps].index(gamma)
+            assert got[start:start + sub.dim] == tuple(coeffs), (name, n, gamma)
+            assert not any(got[:start]) and not any(got[start + sub.dim:])
+        # a matrix unit lies in the space exactly when it is an n-derivation
+        for gamma in a.group.elements():
+            assert space.coordinates(GradedMap.zero(a, gamma)) == (zero,) * space.total_dim
+            size = len(block_coordinates(a, gamma))
+            for pos in range(size):
+                vec = [one if q == pos else zero for q in range(size)]
+                E = GradedMap.from_block_vector(a, gamma, vec)
+                inside = space.coordinates(E) is not None
+                assert inside == space.contains_map(E) == is_n_derivation(a, E, n), (name, n)
+                outside += not inside
+    if name not in ("abelian(2)", "abelian(3)"):
+        assert outside, name
+
+
+def test_coordinates_reject_a_map_over_another_algebra(algebras):
+    sl2, heis = algebras["sl2"], algebras["heis3"]
+    space = n_derivation_space(sl2, 2)
+    for D in (ad(heis, heis.basis_vector(0)), GradedMap.zero(heis, heis.group.zero())):
+        with pytest.raises(AlgebraMismatch):
+            space.coordinates(D)
+        with pytest.raises(AlgebraMismatch):
+            space.contains_map(D)
 
 
 def test_verify_nder_equals_der(algebras):

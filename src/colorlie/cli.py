@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import io
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import catalog
 from .derivations import (
@@ -96,9 +97,71 @@ def _fingerprint(a) -> str:
     return hashlib.sha256(serialize_algebra(a).encode("utf-8")).hexdigest()
 
 
+def _json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    With ``indent`` set the stdlib falls back to its pure-Python encoder;
+    this writer gives the same text for dict (with str keys), list, tuple,
+    str, int, bool and None, escaping strings with the C
+    ``encode_basestring_ascii``, and raises TypeError on any other type,
+    subclasses of str and int included.
+    """
+    out = io.StringIO()
+    _write_json(obj, out.write, "\n")
+    return out.getvalue()
+
+
+# the leaf types, exactly (subclasses are refused), and their text
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(obj, write, newline: str) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(sep + encode_basestring_ascii(key) + ": ")
+            leaf = _LEAVES.get(type(value))
+            if leaf is None:
+                _write_json(value, write, inner)
+            else:
+                write(leaf(value))
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                write(sep)
+                _write_json(item, write, inner)
+            else:
+                write(sep + leaf(item))
+            sep = "," + inner
+        write(newline + "]")
+    elif type(obj) in _LEAVES:
+        write(_LEAVES[type(obj)](obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, lines: list[str], as_json: bool, started: float) -> str:
     if as_json:
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json_text(report) + "\n"
     lines.append(f"elapsed: {time.perf_counter() - started:.3f}s")
     return "\n".join(lines) + "\n"
 
@@ -230,10 +293,8 @@ def run(argv) -> tuple[int, str]:
     if args.command == "catalog":
         if args.action == "list":
             if args.json:
-                return 0, json.dumps(
-                    {"command": ["catalog", "list"], "catalog": catalog.names()},
-                    indent=2,
-                    sort_keys=True,
+                return 0, _json_text(
+                    {"command": ["catalog", "list"], "catalog": catalog.names()}
                 ) + "\n"
             return 0, "\n".join(catalog.names()) + "\n"
         if not args.name:

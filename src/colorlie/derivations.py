@@ -88,6 +88,15 @@ class GradedMap:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "matrix", matrix)
 
+    @staticmethod
+    def _unchecked(algebra: ColorAlgebra, degree: GroupElement, grid) -> "GradedMap":
+        # for a d x d grid whose support lies in the degree block by construction
+        D = object.__new__(GradedMap)
+        object.__setattr__(D, "algebra", algebra)
+        object.__setattr__(D, "degree", degree)
+        object.__setattr__(D, "matrix", tuple(tuple(row) for row in grid))
+        return D
+
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
 
@@ -124,7 +133,7 @@ class GradedMap:
         grid = [[z] * algebra.dim for _ in range(algebra.dim)]
         for (k, j), c in zip(coords, vec):
             grid[k][j] = c
-        return GradedMap(algebra, degree, grid)
+        return GradedMap._unchecked(algebra, degree, grid)
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
@@ -432,7 +441,8 @@ def map_bracket(d1: GradedMap, d2: GradedMap) -> GradedMap:
             eb = e * b
             for k, c in cols2[l]:
                 grid[k][j] = grid[k][j] - c * eb
-    return GradedMap(a, d1.degree + d2.degree, grid)
+    # d1[k][l] * d2[l][j] != 0 puts (k, j) at degree deg d1 + deg d2
+    return GradedMap._unchecked(a, d1.degree + d2.degree, grid)
 
 
 def _ad_factor(a: ColorAlgebra) -> tuple:

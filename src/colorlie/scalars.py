@@ -1,11 +1,19 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_m).
 
-A scalar is a residue in Q[x]/(Phi_m(x)) stored as a dense coefficient
-vector of length phi(m) = deg Phi_m, so equality is coefficient-wise and
-every value has exactly one representation. For m in {1, 2} the field
-degenerates to the rationals. Rationals themselves are plain
-``fractions.Fraction`` values, whose normal form (reduced, positive
-denominator) is the invariant we need.
+A scalar is a residue in Q[x]/(Phi_m(x)), stored as an integer numerator
+vector ``num`` of length phi(m) = deg Phi_m over one integer denominator
+``den``: the value is sum(num[k] * zeta_m^k) / den. The pair is kept in
+lowest terms, with den > 0 and gcd(num..., den) == 1, so zero is
+((0,) * phi(m), 1). Every value has exactly one such form, and equality is
+structural. For m in {1, 2} the field is the rationals and ``num`` has one
+entry; rationals given as input are plain ``fractions.Fraction`` values.
+
+Phi_m is monic with integer coefficients, so an integer polynomial reduced
+mod Phi_m by long division over the nonzero terms of Phi_m stays integral.
+A product is one integer polynomial product, one such reduction and one
+gcd; a sum brings both numerators to one common denominator and divides by
+one gcd. The read-only ``coeffs`` property gives the value back as phi(m)
+``Fraction`` coefficients.
 
 Text format (used in algebra files and CLI output): rationals as ``p/q``
 or ``p``; field elements as polynomials in the symbol ``z`` with rational
@@ -15,9 +23,10 @@ decreasing degree.
 
 No floating point is used anywhere.
 
-Arithmetic results are built by the private ``_trusted``, which stores an
-already reduced tuple of phi(m) ``Fraction`` coefficients as it is; outside
-input goes through ``CycloScalar(m, coeffs)``, which coerces and reduces.
+Arithmetic results are built by the private ``_trusted`` (through
+``_normalized`` where a common factor may remain), which stores the
+integer form as it is; outside input goes through ``CycloScalar(m,
+coeffs)``, which coerces and reduces.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import ConductorMismatch, NotDivisible, ParseError
 
@@ -83,8 +93,30 @@ def totient(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
+@lru_cache(maxsize=None)
+def _phi_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # deg Phi_m and the nonzero terms (i, c) of Phi_m below its leading 1
+    poly = cyclotomic_polynomial(m)
+    deg = len(poly) - 1
+    return deg, tuple((i, c) for i, c in enumerate(poly[:deg]) if c)
+
+
+def _reduce_int(work: list[int], m: int) -> tuple[int, ...]:
+    # Remainder of an integer polynomial mod Phi_m, length phi(m); consumes work.
+    deg, terms = _phi_terms(m)
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work[k]
+        if c:
+            base = k - deg
+            for i, p in terms:
+                work[base + i] -= c * p
+    del work[deg:]
+    work.extend([0] * (deg - len(work)))
+    return tuple(work)
+
+
 def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    # Remainder of the polynomial mod Phi_m, padded to length phi(m).
+    # Remainder of a rational polynomial mod Phi_m, padded to length phi(m).
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
     work = list(coeffs)
@@ -99,6 +131,13 @@ def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
     return tuple(work)
 
 
+def _integer_form(coeffs: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
+    # (num, den) in lowest terms: den is the lcm of the reduced denominators,
+    # so no prime divides it and every scaled numerator at once
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
 class CycloScalar:
     """An element of Q(zeta_m) in reduced residue form.
 
@@ -107,24 +146,30 @@ class CycloScalar:
     a larger conductor first.
     """
 
-    __slots__ = ("conductor", "coeffs")
+    __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
-        phi = totient(conductor)
         coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != phi:
+        if len(coeffs) != totient(conductor):
             coeffs = _reduce_mod_phi(list(coeffs), conductor)
+        num, den = _integer_form(coeffs)
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloScalar is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(m) rational coefficients of 1, zeta_m, zeta_m^2, ..."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     @staticmethod
     def from_rational(q, conductor: int = 1) -> "CycloScalar":
         q = Fraction(q)
-        phi = totient(conductor)
-        return CycloScalar(conductor, (q,) + (Fraction(0),) * (phi - 1))
+        zeros = (0,) * (totient(conductor) - 1)
+        return _trusted(conductor, (q.numerator,) + zeros, q.denominator)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -141,21 +186,20 @@ class CycloScalar:
     def root(conductor: int, k: int = 1) -> "CycloScalar":
         """zeta_m^k in reduced form; k is taken mod m."""
         k %= conductor
-        coeffs = [Fraction(0)] * k + [Fraction(1)]
-        return CycloScalar(conductor, _reduce_mod_phi(coeffs, conductor))
+        return _trusted(conductor, _reduce_int([0] * k + [1], conductor), 1)
 
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -174,9 +218,7 @@ class CycloScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _trusted(
-            self.conductor, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return _combine(self, o, add)
 
     __radd__ = __add__
 
@@ -184,9 +226,7 @@ class CycloScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _trusted(
-            self.conductor, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return _combine(self, o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -195,34 +235,39 @@ class CycloScalar:
         return o - self
 
     def __neg__(self):
-        return _trusted(self.conductor, tuple(-a for a in self.coeffs))
+        return _trusted(self.conductor, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a, b = self.num, o.num
         if len(a) == 1:
-            return _trusted(self.conductor, (a[0] * b[0],))
-        prod = [Fraction(0)] * (2 * len(a) - 1)
+            return _normalized(self.conductor, (a[0] * b[0],), self.den * o.den)
+        prod = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return _trusted(self.conductor, _reduce_mod_phi(prod, self.conductor))
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        return _normalized(
+            self.conductor, _reduce_int(prod, self.conductor), self.den * o.den
+        )
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
         """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_m."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        if len(self.coeffs) == 1:
-            return _trusted(self.conductor, (1 / self.coeffs[0],))
-        # Invert a mod Phi_m in Q[x]: maintain r = s*a + t*Phi, track s only.
+        if len(self.num) == 1:
+            n = self.num[0]
+            if n < 0:
+                return _trusted(self.conductor, (-self.den,), -n)
+            return _trusted(self.conductor, (self.den,), n)
+        # (num/den)^-1 = den * num^-1. Invert num mod Phi_m in Q[x]:
+        # maintain r = s*num + t*Phi, track s only.
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = phi, list(self.coeffs)
+        r0, r1 = phi, [Fraction(c) for c in self.num]
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while any(r1):
             q, rem = _poly_divmod(r0, r1)
@@ -231,8 +276,11 @@ class CycloScalar:
         # r0 is a nonzero constant gcd (Phi_m is irreducible over Q)
         g = next(c for c in reversed(r0) if c)
         assert all(c == 0 for c in r0[1:]), "gcd with Phi_m is not constant"
-        s0 = [c / g for c in s0]
-        return _trusted(self.conductor, _reduce_mod_phi(s0, self.conductor))
+        scale = self.den / g
+        num, den = _integer_form(
+            _reduce_mod_phi([c * scale for c in s0], self.conductor)
+        )
+        return _trusted(self.conductor, num, den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -263,28 +311,31 @@ class CycloScalar:
             raise NotDivisible(
                 f"cannot lift conductor {self.conductor} to {conductor}"
             )
-        stride = conductor // self.conductor
-        spread = [Fraction(0)] * ((len(self.coeffs) - 1) * stride + 1)
-        for i, c in enumerate(self.coeffs):
-            spread[i * stride] = c
-        return CycloScalar(conductor, _reduce_mod_phi(spread, conductor))
+        spread = _substitute_power(list(self.num), conductor // self.conductor)
+        return _normalized(conductor, _reduce_int(spread, conductor), self.den)
 
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (
+                self.is_rational()
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return self.coeffs == other.coeffs
-        m = lcm(self.conductor, other.conductor)
-        return self.lift(m).coeffs == other.lift(m).coeffs
+        a, b = self, other
+        if a.conductor != b.conductor:
+            m = lcm(a.conductor, b.conductor)
+            a, b = a.lift(m), b.lift(m)
+        return a.den == b.den and a.num == b.num
 
     __hash__ = None  # cross-conductor equality has no cheap canonical hash
 
     def __bool__(self):
-        return any(self.coeffs)
+        # zero is stored over den 1, so any other den means nonzero
+        return self.den != 1 or any(self.num)
 
     def __repr__(self):
         return f"CycloScalar(m={self.conductor}, {format_scalar(self)!r})"
@@ -294,16 +345,41 @@ class CycloScalar:
 
 
 _set_conductor = CycloScalar.conductor.__set__
-_set_coeffs = CycloScalar.coeffs.__set__
+_set_num = CycloScalar.num.__set__
+_set_den = CycloScalar.den.__set__
 
 
-def _trusted(conductor: int, coeffs: tuple) -> CycloScalar:
-    # coeffs must already be a reduced tuple of exactly phi(conductor)
-    # Fractions, as the arithmetic produces; nothing is checked or copied
+def _trusted(conductor: int, num: tuple, den: int) -> CycloScalar:
+    # num must already be a reduced tuple of exactly phi(conductor) ints, and
+    # (num, den) in lowest terms, as the arithmetic produces; nothing is
+    # checked or copied
     s = object.__new__(CycloScalar)
     _set_conductor(s, conductor)
-    _set_coeffs(s, coeffs)
+    _set_num(s, num)
+    _set_den(s, den)
     return s
+
+
+def _normalized(conductor: int, num: tuple, den: int) -> CycloScalar:
+    # num / den with den > 0, divided by its one common factor
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    return _trusted(conductor, num, den)
+
+
+def _combine(a: CycloScalar, b: CycloScalar, op) -> CycloScalar:
+    # op(a, b) for op in (add, sub), over one common denominator
+    da, db = a.den, b.den
+    if da == db:
+        return _normalized(a.conductor, tuple(map(op, a.num, b.num)), da)
+    g = gcd(da, db)
+    sa, sb = db // g, da // g
+    return _normalized(
+        a.conductor, tuple(op(x * sa, y * sb) for x, y in zip(a.num, b.num)), da * sa
+    )
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -393,9 +469,10 @@ def parse_scalar(text: str, conductor: int = 1) -> CycloScalar:
 
 def format_scalar(s: CycloScalar) -> str:
     """Emit the canonical reduced form, terms in decreasing degree of z."""
+    coeffs = s.coeffs
     parts = []
-    for k in range(len(s.coeffs) - 1, -1, -1):
-        c = s.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if not c:
             continue
         mag = abs(c)

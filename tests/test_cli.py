@@ -1,10 +1,13 @@
 import json
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from colorlie import catalog
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
-from colorlie.cli import run
+from colorlie.cli import _json_text, run
 from colorlie.errors import ParseError, ValidationError
 from colorlie.fileio import parse_algebra, serialize_algebra
 
@@ -233,3 +236,43 @@ def test_cli_machine_reports_are_deterministic():
         code1, out1 = run(argv)
         code2, out2 = run(argv)
         assert (code1, out1) == (code2, out2)
+
+
+def _json_values(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(), children, max_size=4),
+    )
+
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.text(),  # any code point: non-ASCII, control characters, lone surrogates
+    st.sampled_from(["", "é", "z^2 - 1/2", '"\\', "\u2028\U0001F600"]),
+)
+
+
+@given(st.recursive(_json_leaves, _json_values, max_leaves=30))
+def test_json_writer_matches_the_stdlib(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        1.5,
+        Fraction(1, 2),
+        {1, 2},
+        b"x",
+        [0, 1.0],
+        {"a": {"b": object()}},
+        {1: 0},
+        [IntEnum("E", "A").A],
+    ],
+)
+def test_json_writer_rejects_other_types(obj):
+    with pytest.raises(TypeError):
+        _json_text(obj)

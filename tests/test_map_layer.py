@@ -158,3 +158,20 @@ def test_sparse_map_bracket_equals_dense_reference(name):
         for d2 in maps:
             got, ref = map_bracket(d1, d2), _dense_bracket(d1, d2)
             assert got.degree == ref.degree and got.matrix == ref.matrix, name
+
+
+@pytest.mark.parametrize("name", ("aff2", "colorSl2", "heis3", "osp12", "sl2", "abelian(2)", "abelian(3)"))
+@pytest.mark.parametrize("n", (2, 3))
+def test_unchecked_constructions_pass_the_public_support_check(name, n):
+    # map_bracket and from_block_vector skip the support check; every map
+    # they build must still be accepted by GradedMap(...) unchanged
+    a = catalog.get(name)
+    rng = random.Random(f"{name}:{n}")
+    maps = n_derivation_space(a, n).basis_maps()
+    for gamma, coords in a.degree_table().blocks.items():
+        vec = [a.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in coords]
+        maps.append(GradedMap.from_block_vector(a, gamma, vec))
+    built = maps + [map_bracket(d1, d2) for d1 in maps for d2 in maps]
+    for D in built:
+        checked = GradedMap(a, D.degree, D.matrix)
+        assert checked.degree == D.degree and checked.matrix == D.matrix, (name, n)

@@ -3,6 +3,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from colorlie.errors import ConductorMismatch, NotDivisible, ParseError
 from colorlie.scalars import (
     CycloScalar,
     _int_poly_div_exact,
+    _reduce_mod_phi,
     cyclotomic_polynomial,
     format_scalar,
     parse_scalar,
@@ -209,11 +211,20 @@ def test_format_parse_round_trip():
 
 
 def _assert_canonical(s, m):
-    # the representation the public constructor would build from the same value
+    # integer numerator over a positive denominator in lowest terms, which is
+    # the representation the public constructor builds from the same value
+    phi = totient(m)
     assert s.conductor == m
-    assert len(s.coeffs) == totient(m)
+    assert type(s.num) is tuple and len(s.num) == phi
+    assert all(type(c) is int for c in s.num) and type(s.den) is int
+    assert s.den > 0 and gcd(s.den, *s.num) == 1
+    if not any(s.num):
+        assert (s.num, s.den) == ((0,) * phi, 1)
+    assert len(s.coeffs) == phi
     assert all(type(c) is Fraction for c in s.coeffs)
-    assert CycloScalar(m, s.coeffs).coeffs == s.coeffs
+    rebuilt = CycloScalar(m, s.coeffs)
+    assert (rebuilt.num, rebuilt.den) == (s.num, s.den)
+    assert rebuilt.coeffs == s.coeffs
 
 
 _fractions = st.builds(
@@ -221,9 +232,13 @@ _fractions = st.builds(
 )
 
 
+# 30 and 60 are the conductors of the benchmark's wide-grading workload
+CANONICAL_CONDUCTORS = (1, 2, 3, 4, 5, 12, 30, 60)
+
+
 @st.composite
 def _scalar_pairs(draw):
-    m = draw(st.sampled_from((1, 2, 3, 4, 5, 12)))
+    m = draw(st.sampled_from(CANONICAL_CONDUCTORS))
     a, b = (
         CycloScalar(m, draw(st.lists(_fractions, min_size=totient(m), max_size=totient(m))))
         for _ in range(2)
@@ -234,7 +249,7 @@ def _scalar_pairs(draw):
 @given(_scalar_pairs())
 def test_every_operation_returns_the_canonical_representation(case):
     m, a, b, k = case
-    results = [a + b, a - b, -a, a * b, a + 2, 2 - a, 3 * a, a ** abs(k)]
+    results = [a + b, a - b, a - a, -a, a * b, a + 2, 2 - a, 3 * a, a ** abs(k)]
     if b:
         results += [b.inv(), a / b, 1 / b, b ** k]
     results += [
@@ -246,3 +261,25 @@ def test_every_operation_returns_the_canonical_representation(case):
         _assert_canonical(s, m)
     for wider in (m, 2 * m, 3 * m):
         _assert_canonical(a.lift(wider), wider)
+
+
+@given(_scalar_pairs())
+def test_product_equals_the_reduced_fraction_product(case):
+    # reference: the Fraction polynomial product, reduced by the constructor's reducer
+    m, a, b, _ = case
+    x, y = a.coeffs, b.coeffs
+    prod = [Fraction(0)] * (2 * len(x) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] += xi * yj
+    assert (a * b).coeffs == _reduce_mod_phi(prod, m)
+
+
+@given(_scalar_pairs())
+def test_inverse_and_coefficient_round_trip(case):
+    m, a, _, _ = case
+    if a:
+        assert a * a.inv() == 1
+    else:
+        assert (a.num, a.den) == ((0,) * totient(m), 1)
+    assert CycloScalar(m, a.coeffs) == a

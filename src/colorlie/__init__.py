@@ -29,7 +29,7 @@ from .derivations import (
 )
 from .grading import Bicharacter, GradingGroup, GroupElement
 from .linalg import MatrixExact, Subspace
-from .scalars import CycloScalar, Rational, format_scalar, parse_scalar
+from .scalars import CycloScalar, format_scalar, parse_scalar
 
 __all__ = [
     "AxiomReport",
@@ -41,7 +41,6 @@ __all__ = [
     "GradingGroup",
     "GroupElement",
     "MatrixExact",
-    "Rational",
     "Subspace",
     "ad",
     "catalog_get",

@@ -5,7 +5,7 @@ through the bicharacter check and the full axiom check; a failing entry
 raises instead of returning, so a bad edit here cannot ship silently.
 
 ``abelian(d)`` is parametric; the registry exposes it under the template
-name ``abelian(N)``.
+name ``abelian(N)``, for N up to ``ABELIAN_MAX_DIM``.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ _FIXED = {
 
 _ABELIAN_RE = re.compile(r"^abelian\((\d+)\)$")
 
+# abelian(N) builds an N^3 grid of constants, and its nDer has dimension
+# N^2 whatever n is; at N = 16, der --n 4 takes seconds.
+ABELIAN_MAX_DIM = 16
+
 
 def names() -> list[str]:
     return sorted(_FIXED) + ["abelian(N)"]
@@ -141,5 +145,8 @@ def get(name: str) -> ColorAlgebra:
         return _FIXED[name]()
     m = _ABELIAN_RE.match(name)
     if m:
-        return abelian(int(m.group(1)))
+        digits = m.group(1).lstrip("0") or "0"
+        if len(digits) > len(str(ABELIAN_MAX_DIM)) or int(digits) > ABELIAN_MAX_DIM:
+            raise KeyError(f"catalog entry abelian(N) takes N <= {ABELIAN_MAX_DIM}")
+        return abelian(int(digits))
     raise KeyError(f"unknown catalog entry {name!r}; available: {', '.join(names())}")

@@ -303,7 +303,7 @@ def run(argv) -> tuple[int, str]:
         try:
             a = catalog.get(args.name)
         except KeyError as exc:
-            print(str(exc), file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return 2, ""
         return 0, serialize_algebra(a)
 

@@ -8,12 +8,16 @@ lowest terms, with den > 0 and gcd(num..., den) == 1, so zero is
 structural. For m in {1, 2} the field is the rationals and ``num`` has one
 entry; rationals given as input are plain ``fractions.Fraction`` values.
 
-Phi_m is monic with integer coefficients, so an integer polynomial reduced
-mod Phi_m by long division over the nonzero terms of Phi_m stays integral.
-A product is one integer polynomial product, one such reduction and one
-gcd; a sum brings both numerators to one common denominator and divides by
-one gcd. The read-only ``coeffs`` property gives the value back as phi(m)
-``Fraction`` coefficients.
+Every field operation runs on integers. Phi_m is monic with integer
+coefficients, so an integer polynomial reduced mod Phi_m by long division
+over the nonzero terms of Phi_m stays integral. A product is one integer
+polynomial product, one such reduction and one gcd; a sum brings both
+numerators to one common denominator and divides by one gcd. An inverse
+runs a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1;
+Collins, J. ACM 14, 1967): the half-extended Euclidean algorithm on integer
+polynomials, each step one pseudo-division followed by division by the
+content. The read-only ``coeffs`` property is the only rational view: it
+gives the value back as phi(m) ``Fraction`` coefficients.
 
 Text format (used in algebra files and CLI output): rationals as ``p/q``
 or ``p``; field elements as polynomials in the symbol ``z`` with rational
@@ -26,7 +30,8 @@ No floating point is used anywhere.
 Arithmetic results are built by the private ``_trusted`` (through
 ``_normalized`` where a common factor may remain), which stores the
 integer form as it is; outside input goes through ``CycloScalar(m,
-coeffs)``, which coerces and reduces.
+coeffs)``, which reads ``Fraction``s, clears their denominators with one
+lcm and reduces the integer numerators.
 """
 
 from __future__ import annotations
@@ -39,22 +44,29 @@ from operator import add, sub
 
 from .errors import ConductorMismatch, NotDivisible, ParseError
 
-Rational = Fraction
 
-
-def _int_poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # Exact division of integer polynomials, monic divisor; coeffs ascending.
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        out[k - dd] = c
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    # Integer pseudo-division, coeffs ascending, len(a) >= len(b), b[-1] != 0:
+    # (q, r, f) with f * a == q * b + r, len(r) == len(b) - 1, and f > 0 a
+    # product of divisors of b[-1], so f == 1 when b is monic
+    db = len(b) - 1
+    lead = b[-1]
+    terms = [(i, c) for i, c in enumerate(b[:db]) if c]
+    r, q, f = list(a), [0] * (len(a) - db), 1
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r.pop()
         if c:
-            for i, b in enumerate(den):
-                num[k - dd + i] -= c * b
-    assert all(c == 0 for c in num[:dd]), "division was not exact"
-    return out
+            g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+            scale, c = lead // g, c // g
+            if scale != 1:
+                r = [scale * x for x in r]
+                q = [scale * x for x in q]
+                f *= scale
+            base = k - db
+            q[base] = c
+            for i, p in terms:
+                r[base + i] -= c * p
+    return q, r, f
 
 
 def _substitute_power(poly: list[int], stride: int) -> list[int]:
@@ -80,7 +92,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if p * p > rest:
             p = rest  # no factor up to its square root: rest is prime
         if rest % p == 0:
-            poly = _int_poly_div_exact(_substitute_power(poly, p), poly)
+            poly, remainder, _ = _pseudo_divmod(_substitute_power(poly, p), poly)
+            assert not any(remainder), "division was not exact"
             rad *= p
             while rest % p == 0:
                 rest //= p
@@ -115,29 +128,6 @@ def _reduce_int(work: list[int], m: int) -> tuple[int, ...]:
     return tuple(work)
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], m: int) -> tuple[Fraction, ...]:
-    # Remainder of a rational polynomial mod Phi_m, padded to length phi(m).
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for k in range(len(work) - 1, deg - 1, -1):
-        c = work[k]
-        if c:
-            for i in range(deg):
-                work[k - deg + i] -= c * phi[i]
-        work.pop()
-    while len(work) < deg:
-        work.append(Fraction(0))
-    return tuple(work)
-
-
-def _integer_form(coeffs: tuple[Fraction, ...]) -> tuple[tuple[int, ...], int]:
-    # (num, den) in lowest terms: den is the lcm of the reduced denominators,
-    # so no prime divides it and every scaled numerator at once
-    den = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
-
-
 class CycloScalar:
     """An element of Q(zeta_m) in reduced residue form.
 
@@ -149,13 +139,15 @@ class CycloScalar:
     __slots__ = ("conductor", "num", "den")
 
     def __init__(self, conductor: int, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != totient(conductor):
-            coeffs = _reduce_mod_phi(list(coeffs), conductor)
-        num, den = _integer_form(coeffs)
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        # any number of coefficients of 1, zeta_m, zeta_m^2, ...: clear the
+        # denominators with one lcm, then reduce mod Phi_m on integers
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        s = _normalized(conductor, _reduce_int(num, conductor), den)
+        _set_conductor(self, conductor)
+        _set_num(self, s.num)
+        _set_den(self, s.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycloScalar is immutable")
@@ -256,31 +248,42 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
-        """Multiplicative inverse, by the extended Euclidean algorithm mod Phi_m."""
+        """Multiplicative inverse, by a primitive pseudo-remainder sequence mod Phi_m.
+
+        The half-extended Euclidean algorithm on integer polynomials keeps
+        r == s * num (mod Phi_m). Each step is one pseudo-division, and the
+        new (r, s) pair is divided by the gcd of all its coefficients. It
+        stops at a constant r == c, nonzero because Phi_m is irreducible;
+        then (num / den)^-1 == den * s / c.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        if len(self.num) == 1:
+        m, den = self.conductor, self.den
+        if len(self.num) == 1:  # a rational field: den / num is in lowest terms
             n = self.num[0]
-            if n < 0:
-                return _trusted(self.conductor, (-self.den,), -n)
-            return _trusted(self.conductor, (self.den,), n)
-        # (num/den)^-1 = den * num^-1. Invert num mod Phi_m in Q[x]:
-        # maintain r = s*num + t*Phi, track s only.
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = phi, [Fraction(c) for c in self.num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant gcd (Phi_m is irreducible over Q)
-        g = next(c for c in reversed(r0) if c)
-        assert all(c == 0 for c in r0[1:]), "gcd with Phi_m is not constant"
-        scale = self.den / g
-        num, den = _integer_form(
-            _reduce_mod_phi([c * scale for c in s0], self.conductor)
-        )
-        return _trusted(self.conductor, num, den)
+            return _trusted(m, (den,), n) if n > 0 else _trusted(m, (-den,), -n)
+        r0, s0, r1, s1 = list(cyclotomic_polynomial(m)), [0], list(self.num), [1]
+        while not r1[-1]:
+            r1.pop()
+        while len(r1) > 1:
+            q, r, f = _pseudo_divmod(r0, r1)
+            while r and not r[-1]:
+                r.pop()
+            assert r, "gcd with Phi_m is not constant"
+            s = [f * c for c in s0] + [0] * (len(q) + len(s1) - 1 - len(s0))
+            for i, qi in enumerate(q):
+                if qi:
+                    for j, sj in enumerate(s1, i):
+                        s[j] -= qi * sj
+            g = gcd(*r, *s)
+            if g != 1:
+                r = [c // g for c in r]
+                s = [c // g for c in s]
+            r0, s0, r1, s1 = r1, s1, r, s
+        c = r1[0]
+        if c < 0:
+            c, den = -c, -den
+        return _normalized(m, _reduce_int([den * x for x in s1], m), c)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -382,41 +385,6 @@ def _combine(a: CycloScalar, b: CycloScalar, op) -> CycloScalar:
     )
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    # Polynomial division over Q; coeffs ascending; den nonzero.
-    num = list(num)
-    while den and not den[-1]:
-        den = den[:-1]
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dd:
-        return [Fraction(0)], num
-    out = [Fraction(0)] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        out[k - dd] = c
-        if c:
-            for i, b in enumerate(den):
-                num[k - dd + i] -= c * b
-    return out, num[:dd] if dd else [Fraction(0)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
-
-
 # -- text format ----------------------------------------------------------
 
 _TERM_RE = re.compile(
@@ -464,7 +432,7 @@ def parse_scalar(text: str, conductor: int = 1) -> CycloScalar:
         coeffs[k] = coeffs.get(k, Fraction(0)) + sgn * c
     top = max(coeffs) if coeffs else 0
     vec = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
-    return CycloScalar(conductor, _reduce_mod_phi(vec, conductor))
+    return CycloScalar(conductor, vec)
 
 
 def format_scalar(s: CycloScalar) -> str:

@@ -1,4 +1,5 @@
 import json
+import time
 from enum import IntEnum
 from fractions import Fraction
 
@@ -175,6 +176,21 @@ def test_cli_exit_code_2():
     assert code == 2
     code, _ = run(["catalog", "emit"])
     assert code == 2
+
+
+def test_cli_caps_the_abelian_dimension(capsys):
+    for argv in (
+        ["check", "catalog:abelian(" + "9" * 5000 + ")"],
+        ["catalog", "emit", "abelian(99999999)"],
+        ["der", f"catalog:abelian({catalog.ABELIAN_MAX_DIM + 1})", "--n", "2"],
+    ):
+        started = time.perf_counter()
+        assert run(argv) == (2, ""), argv
+        assert time.perf_counter() - started < 1.0, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    top = catalog.ABELIAN_MAX_DIM
+    for name in (f"abelian({top})", f"abelian(0{top})"):
+        assert run(["check", f"catalog:{name}"])[0] == 0, name
 
 
 def test_cli_rejects_non_utf8_file(tmp_path, capsys):

@@ -8,11 +8,10 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import colorlie.scalars
 from colorlie.errors import ConductorMismatch, NotDivisible, ParseError
 from colorlie.scalars import (
     CycloScalar,
-    _int_poly_div_exact,
-    _reduce_mod_phi,
     cyclotomic_polynomial,
     format_scalar,
     parse_scalar,
@@ -30,14 +29,40 @@ def test_cyclotomic_polynomials():
     assert [totient(m) for m in (1, 2, 3, 4, 6, 12)] == [1, 1, 2, 2, 2, 4]
 
 
+def _divide_exactly(num, den):
+    # long division of integer polynomials by a monic divisor; coeffs ascending
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = out[k - dd] = num[k]
+        for i, b in enumerate(den):
+            num[k - dd + i] -= c * b
+    assert not any(num), "division was not exact"
+    return out
+
+
 @lru_cache(maxsize=None)
 def _cyclotomic_by_divisors(m):
     # reference: Phi_m = (x^m - 1) / prod(Phi_d : d | m, d < m)
     poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _int_poly_div_exact(poly, list(_cyclotomic_by_divisors(d)))
+            poly = _divide_exactly(poly, _cyclotomic_by_divisors(d))
     return tuple(poly)
+
+
+def _reduce_mod_phi(coeffs, m):
+    # reference: the remainder of a rational polynomial mod Phi_m, by long
+    # division over Fractions, padded to length phi(m)
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    work = [Fraction(c) for c in coeffs]
+    for k in range(len(work) - 1, deg - 1, -1):
+        c = work.pop()
+        for i in range(deg):
+            work[k - deg + i] -= c * phi[i]
+    return tuple(work + [Fraction(0)] * (deg - len(work)))
 
 
 def test_cyclotomic_matches_divisor_quotient():
@@ -233,16 +258,29 @@ _fractions = st.builds(
 
 
 # 30 and 60 are the conductors of the benchmark's wide-grading workload
-CANONICAL_CONDUCTORS = (1, 2, 3, 4, 5, 12, 30, 60)
+CANONICAL_CONDUCTORS = (1, 2, 3, 4, 5, 12, 15, 30, 60)
+
+
+@st.composite
+def _scalars(draw, m):
+    # dense and sparse residues, monomials c * zeta^k with any k < m, and
+    # rationals, which are constants of degree 0 inside every field
+    phi = totient(m)
+    kind = draw(st.sampled_from(("dense", "sparse", "monomial", "rational")))
+    if kind == "dense":
+        return CycloScalar(m, draw(st.lists(_fractions, min_size=phi, max_size=phi)))
+    if kind == "sparse":
+        terms = draw(st.dictionaries(st.integers(0, phi - 1), _fractions, max_size=3))
+        return CycloScalar(m, [terms.get(k, 0) for k in range(phi)])
+    if kind == "monomial":
+        return CycloScalar(m, [0] * draw(st.integers(0, m - 1)) + [draw(_fractions)])
+    return CycloScalar(m, [draw(_fractions)])
 
 
 @st.composite
 def _scalar_pairs(draw):
     m = draw(st.sampled_from(CANONICAL_CONDUCTORS))
-    a, b = (
-        CycloScalar(m, draw(st.lists(_fractions, min_size=totient(m), max_size=totient(m))))
-        for _ in range(2)
-    )
+    a, b = draw(_scalars(m)), draw(_scalars(m))
     return m, a, b, draw(st.integers(min_value=-3, max_value=3))
 
 
@@ -283,3 +321,38 @@ def test_inverse_and_coefficient_round_trip(case):
     else:
         assert (a.num, a.den) == ((0,) * totient(m), 1)
     assert CycloScalar(m, a.coeffs) == a
+
+
+@given(_scalar_pairs())
+def test_inverse_is_an_involution(case):
+    _, a, _, _ = case
+    if a:
+        assert a.inv().inv() == a
+
+
+@given(
+    st.sampled_from(CANONICAL_CONDUCTORS).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(_fractions, max_size=3 * m))
+    )
+)
+def test_constructor_reduces_unreduced_input_like_the_reference(case):
+    m, raw = case
+    s = CycloScalar(m, raw)
+    assert s.coeffs == _reduce_mod_phi(raw, m)
+    _assert_canonical(s, m)
+
+
+def test_inverse_makes_no_fraction(monkeypatch):
+    # a dense scalar at m = 60: every coefficient nonzero, mixed denominators
+    a = CycloScalar(60, [Fraction((-1) ** k * (k + 1), 2 + k % 3) for k in range(16)])
+    calls = []
+
+    def counting_fraction(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(colorlie.scalars, "Fraction", counting_fraction)
+    b = a.inv()
+    monkeypatch.undo()
+    assert calls == []
+    assert a * b == 1

@@ -71,7 +71,8 @@ class ColorAlgebra:
     """Finite-dimensional Lie color algebra held by structure constants.
 
     Immutable after construction. Names are presentation metadata (used by
-    the file format and reports) and do not take part in equality.
+    the file format and reports) and do not take part in equality. An
+    invalid bicharacter (``validate``) is refused with ValueError.
     """
 
     __slots__ = ("group", "bichar", "dim", "degrees", "constants", "names", "_cache")
@@ -80,6 +81,9 @@ class ColorAlgebra:
                  names=None):
         if bichar.group != group:
             raise ValueError("bicharacter is defined on a different group")
+        bc = bichar.validate()
+        if not bc.ok:
+            raise ValueError("invalid bicharacter: " + "; ".join(bc.messages()))
         degrees = tuple(degrees)
         d = len(degrees)
         for g in degrees:

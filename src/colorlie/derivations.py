@@ -21,11 +21,15 @@ one linear system per degree and takes its kernel, while
 every basis tuple. They share no assembly code and are cross-checked in
 the test suite.
 
-The kernel route uses that Inn <= Der <= nDer in every degree of a Lie
-color algebra: when the bicharacter and axiom checks pass, the inner block
-is taken as known and only its complement is solved for, and elimination
-stops once that system reaches full rank. Rows that no nonzero bracket
-reaches are never built. Input failing the checks streams every row.
+The kernel route reads basis brackets from a sparse table of nonzero
+(k, c) pairs, so rows no nonzero bracket reaches are never built, and
+twists the i-th term by zeta_m^(w[t_1] + .. + w[t_{i-1}]), w[j] being the
+exponent of eps(gamma, deg e_j); a bicharacter valid on the group, as
+``ColorAlgebra`` requires, is biadditive mod m. It uses that
+Inn <= Der <= nDer in every degree of a Lie color algebra: when the axiom
+check passes, the inner block is taken as known and only its complement is
+solved for, and elimination stops once that system reaches full rank.
+Input failing the check streams every row.
 
 Constraint rows are ordered lexicographically over
 (degree, x1..xn, output coordinate); together with canonical echelon
@@ -239,31 +243,29 @@ class DerivationSpace:
 
 
 def _basis_bracket_table(a: ColorAlgebra, n: int) -> dict:
-    """Left-normed brackets of all basis n-tuples, built by extending prefixes."""
+    """Left-normed brackets of all basis n-tuples, built by extending prefixes;
+    each is the tuple of its nonzero (k, c) pairs, in increasing k."""
     key = ("bracket_table", n)
     table = a._cache.get(key)
     if table is not None:
         return table
     d = a.dim
-    level = {(j,): a.basis_vector(j) for j in range(d)}
+    one = a.one_scalar()
+    nz = a._nonzero_constants()
+    level = {(j,): ((j, one),) for j in range(d)}
     for _ in range(n - 1):
         nxt = {}
         for t, vec in level.items():
             for j in range(d):
-                nxt[t + (j,)] = _bracket_with_basis(a, vec, j)
+                out = {}
+                for i, vi in vec:
+                    for k, c in nz[i][j]:
+                        p = vi * c
+                        out[k] = out[k] + p if k in out else p
+                nxt[t + (j,)] = tuple((k, out[k]) for k in sorted(out) if out[k])
         level = nxt
     a._cache[key] = level
     return level
-
-
-def _bracket_with_basis(a: ColorAlgebra, v, j: int) -> tuple:
-    out = [a.zero_scalar()] * a.dim
-    nz = a._nonzero_constants()
-    for i, vi in enumerate(v):
-        if vi:
-            for k, c in nz[i][j]:
-                out[k] = out[k] + vi * c
-    return tuple(out)
 
 
 def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -> DerivationSpace:
@@ -273,7 +275,7 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     rows per degree, so n is capped (default 4); pass a larger max_n to
     override deliberately.
 
-    On a Lie color algebra (the bicharacter and axiom checks pass) every
+    On a Lie color algebra (the axiom check passes) every
     ad x is a derivation, hence an n-derivation, of degree deg x, so each
     block of ``inner_derivation_space`` is a known part K of the kernel.
     The kernel is then K plus the solutions that vanish at the pivots of
@@ -297,24 +299,7 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     m = a.conductor
     zero = CycloScalar.zero(m)
     table = _basis_bracket_table(a, n)
-    support = {t: [r for r, c in enumerate(vec) if c] for t, vec in table.items()}
-    # the twist at position i depends only on the degree of the prefix t[:i];
-    # number the prefix degrees that occur, so each block twists by lookup.
-    # Prefixes are extended one level at a time, in lexicographic order, so
-    # each prefix degree costs one addition.
-    position = {}
-    level = {(): (a.group.zero(), ())}
-    for depth in range(n):
-        last = depth == n - 1
-        nxt = {}
-        for t, (s, indices) in level.items():
-            indices += (position.setdefault(s, len(position)),)
-            for j in range(d):
-                nxt[t + (j,)] = (None if last else s + a.degrees[j], indices)
-        level = nxt
-    prefixes = {t: indices for t, (_, indices) in level.items()}
-    lie = a.bichar.validate().ok and a.check_axioms().ok
-    known = inner_derivation_space(a).blocks if lie else {}
+    known = inner_derivation_space(a).blocks if a.check_axioms().ok else {}
     blocks = {}
     for gamma, coords in a.degree_table().blocks.items():
         inner = known.get(gamma) or Subspace.zero(len(coords), m)
@@ -325,26 +310,26 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
         for col, pos in enumerate(free):
             r, l = coords[pos]
             by_input[l].append((r, col))
-        eps = [a.bichar.eps(gamma, g) for g in position]
+        # eps(gamma, deg x1 + .. + deg x_{i-1}) = zeta_m^(w[t_1] + .. + w[t_{i-1}])
+        w = [a.bichar.exponent(gamma, g) for g in a.degrees]
 
         def rows():
             # per tuple, only the output coordinates some nonzero term reaches
             def new_row():
                 return [zero] * len(free)
 
-            for t, indices in prefixes.items():
+            for t, bracket in table.items():
                 acc = defaultdict(new_row)
-                bt = table[t]
-                for l in support[t]:
+                for l, c in bracket:
                     for r, col in by_input[l]:
-                        acc[r][col] += bt[l]
-                for i in range(n):
-                    e = eps[indices[i]]
-                    for k, col in by_input[t[i]]:
-                        u = t[:i] + (k,) + t[i + 1:]
-                        vec = table[u]
-                        for r in support[u]:
-                            acc[r][col] -= e * vec[r]
+                        acc[r][col] += c
+                k = 0
+                for i, j in enumerate(t):
+                    e = CycloScalar.root(m, k)
+                    for x, col in by_input[j]:
+                        for r, c in table[t[:i] + (x,) + t[i + 1:]]:
+                            acc[r][col] -= e * c
+                    k = (k + w[j]) % m
                 for r in sorted(acc):
                     yield acc[r]
 
@@ -353,9 +338,9 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
             blocks[gamma] = rest
             continue
         vectors = list(inner.basis.entries)
-        for w in rest.basis.entries:
+        for row in rest.basis.entries:
             v = [zero] * len(coords)
-            for pos, c in zip(free, w):
+            for pos, c in zip(free, row):
                 v[pos] = c
             vectors.append(v)
         blocks[gamma] = Subspace.from_rows(len(coords), vectors, m)
@@ -694,12 +679,16 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     Sub-check one: every basis map of nDer(A) keeps the image of x -> ad(x)
     inside itself. Sub-check two: for each such map D there is a derivation
     d of the base algebra with D(ad x) = ad(d(x)) on all basis x; d is
-    solved for and recorded. Requires a perfect algebra with zero center.
+    solved for and recorded. Requires a perfect algebra with zero center
+    that passes the axiom check.
     """
     if not a.is_perfect():
         raise PreconditionFailed("second statement needs a perfect algebra")
     if a.center().dim != 0:
         raise PreconditionFailed("second statement needs a zero center")
+    # Der is a Lie color algebra containing ad(L) only when L is one
+    if not a.check_axioms().ok:
+        raise PreconditionFailed("second statement needs an algebra that passes the axioms")
     der = n_derivation_space(a, 2, max_n=max_n)
     # Der is used as the algebra below; record that it matches nDer on the base
     nder_base = n_derivation_space(a, n, max_n=max_n)

@@ -13,11 +13,14 @@ i < j or i = j need be listed; the rest is filled in by eps-antisymmetry,
 and explicitly listed redundant pairs are cross-checked. Unknown fields
 are rejected everywhere. Serialization is canonical (sorted keys, fixed
 indentation), so serialize(parse(f)) is byte-identical for canonical f.
+``json_text`` writes that text; the CLI's reports come from it too.
 """
 
 from __future__ import annotations
 
+import io
 import json
+from json.encoder import encode_basestring_ascii
 
 from .algebra import ColorAlgebra, structure_constants_from_table
 from .errors import ArityMismatch, ParseError, ValidationError
@@ -175,4 +178,67 @@ def algebra_to_dict(a: ColorAlgebra) -> dict:
 
 
 def serialize_algebra(a: ColorAlgebra) -> str:
-    return json.dumps(algebra_to_dict(a), indent=2, sort_keys=True) + "\n"
+    return json_text(algebra_to_dict(a)) + "\n"
+
+
+def json_text(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    With ``indent`` set the stdlib falls back to its pure-Python encoder;
+    this writer gives the same text for dict (with str keys), list, tuple,
+    str, int, bool and None, escaping strings with the C
+    ``encode_basestring_ascii``, and raises TypeError on any other type,
+    subclasses of str and int included.
+    """
+    out = io.StringIO()
+    _write_json(obj, out.write, "\n")
+    return out.getvalue()
+
+
+# the leaf types, exactly (subclasses are refused), and their text
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(obj, write, newline: str) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write(sep + encode_basestring_ascii(key) + ": ")
+            leaf = _LEAVES.get(type(value))
+            if leaf is None:
+                _write_json(value, write, inner)
+            else:
+                write(leaf(value))
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            leaf = _LEAVES.get(type(item))
+            if leaf is None:
+                write(sep)
+                _write_json(item, write, inner)
+            else:
+                write(sep + leaf(item))
+            sep = "," + inner
+        write(newline + "]")
+    elif type(obj) in _LEAVES:
+        write(_LEAVES[type(obj)](obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+

@@ -159,9 +159,8 @@ class Bicharacter:
     def __setattr__(self, name, value):
         raise AttributeError("Bicharacter is immutable")
 
-    def eps(self, a: GroupElement, c: GroupElement) -> CycloScalar:
-        """zeta_m ** (sum_{i,j} a_i c_j K[i][j]), the biadditive extension."""
-        m = self.group.exponent
+    def exponent(self, a: GroupElement, c: GroupElement) -> int:
+        """The k = sum_{i,j} a_i c_j K[i][j] mod m with eps(a, c) = zeta_m^k."""
         e = 0
         for i, ai in enumerate(a.residues):
             if ai:
@@ -169,14 +168,18 @@ class Bicharacter:
                 for j, cj in enumerate(c.residues):
                     if cj:
                         e += ai * cj * row[j]
-        return CycloScalar.root(m, e % m)
+        return e % self.group.exponent
+
+    def eps(self, a: GroupElement, c: GroupElement) -> CycloScalar:
+        """zeta_m ** exponent(a, c), the biadditive extension."""
+        return CycloScalar.root(self.group.exponent, self.exponent(a, c))
 
     def validate(self) -> BicharacterReport:
         """Check the skew and well-definedness conditions on all generator pairs.
 
-        A passing table extends to a genuine bicharacter: biadditivity holds
-        by construction of eps, and the two generator conditions are exactly
-        what the inverse-symmetry axiom and the cyclic relations require.
+        A passing table extends to a genuine bicharacter: ``exponent`` is
+        biadditive mod m, and the two generator conditions are exactly what
+        the inverse-symmetry axiom and the cyclic relations require.
         """
         report = BicharacterReport()
         r, m = self.group.rank, self.group.exponent

@@ -35,6 +35,23 @@ def test_catalog_unknown_name():
     assert "abelian(N)" in catalog.names()
 
 
+@pytest.mark.parametrize(
+    "orders,table",
+    [
+        # skew fails: eps(g, g) = zeta_3 is not its own inverse
+        ([3], [[1]]),
+        # not well defined: on Z2 x Z4, eps((0,1), 2*(1,0)) = 1 but eps((0,1), (1,0))^2 = -1
+        ([2, 4], [[0, 1], [3, 0]]),
+    ],
+)
+def test_algebra_refuses_an_invalid_bicharacter(orders, table):
+    group = GradingGroup(orders)
+    bichar = Bicharacter(group, table)
+    assert not bichar.validate().ok
+    with pytest.raises(ValueError, match="invalid bicharacter"):
+        ColorAlgebra(group, bichar, [group.zero()], [[[0]]])
+
+
 def _mutate(a, i, j, k, delta):
     constants = [
         [[c for c in row] for row in plane] for plane in a.constants

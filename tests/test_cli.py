@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 
 from colorlie import catalog
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
-from colorlie.cli import _json_text, run
+from colorlie.cli import main, run
 from colorlie.errors import ParseError, ValidationError
-from colorlie.fileio import parse_algebra, serialize_algebra
+from colorlie.fileio import json_text, parse_algebra, serialize_algebra
+
+from test_known_space import _jacobi_breaking_sl2
 
 ALL_NAMES = ("sl2", "heis3", "aff2", "abelian(3)", "abelian(0)", "colorSl2", "osp12")
 
@@ -74,7 +76,7 @@ def test_parse_cross_checks_redundant_pairs():
     assert parse_algebra(json.dumps(doc)) == catalog.get("sl2")
 
 
-def test_parse_rejects_invalid_bicharacter():
+def test_parse_rejects_invalid_bicharacter(tmp_path, capsys):
     doc = {
         "group": {"orders": [3]},
         "bicharacter": {"exponents": [[1]]},
@@ -83,6 +85,13 @@ def test_parse_rejects_invalid_bicharacter():
     }
     with pytest.raises(ValidationError):
         parse_algebra(json.dumps(doc))
+    # the file check runs before ColorAlgebra's own, so the message is located
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", str(path)]) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid bicharacter: ")
+    assert err.endswith(" (at bicharacter)\n")
 
 
 def test_cli_check_catalog():
@@ -193,6 +202,48 @@ def test_cli_caps_the_abelian_dimension(capsys):
         assert run(["check", f"catalog:{name}"])[0] == 0, name
 
 
+def test_cli_prints_catalog_errors_unquoted(capsys):
+    capped = f"error: catalog entry abelian(N) takes N <= {catalog.ABELIAN_MAX_DIM}\n"
+    top = catalog.ABELIAN_MAX_DIM + 1
+    for argv, err in (
+        (["check", f"catalog:abelian({top})"], capped),
+        (["catalog", "emit", f"abelian({top})"], capped),
+        (
+            ["check", "catalog:nope"],
+            f"error: unknown catalog entry 'nope'; available: {', '.join(catalog.names())}\n",
+        ),
+    ):
+        assert run(argv) == (2, ""), argv
+        assert capsys.readouterr().err == err, argv
+
+
+def test_main_returns_the_exit_code_and_writes_stdout(capsys):
+    argv = ["check", "catalog:sl2", "--json"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == run(argv)[1]
+    assert main(["verify", "catalog:heis3", "--n", "2"]) == 1
+    assert capsys.readouterr().out.startswith("target: catalog:heis3")
+    assert main(["check", "catalog:nope"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_cli_verify_reports_non_lie_input(n, tmp_path):
+    # perfect, centerless and antisymmetric, but not Jacobi
+    broken = _jacobi_breaking_sl2()
+    path = tmp_path / "jacobi.json"
+    path.write_text(serialize_algebra(broken))
+    code, out = run(["verify", str(path), "--n", str(n), "--lemmas", "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["part1"]["preconditions_hold"] is True
+    assert report["part2"]["preconditions_hold"] is False
+    assert "axioms" in report["part2"]["error"]
+    assert set(report["lemmas"]) == {
+        "closure", "inner_ideal", "centralizer_trivial", "delta_membership", "ad_compat"
+    }
+
+
 def test_cli_rejects_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"group": {"orders": []}, "basis": "\xe9"}'.encode("latin-1"))
@@ -273,7 +324,7 @@ _json_leaves = st.one_of(
 
 @given(st.recursive(_json_leaves, _json_values, max_leaves=30))
 def test_json_writer_matches_the_stdlib(obj):
-    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -291,4 +342,4 @@ def test_json_writer_matches_the_stdlib(obj):
 )
 def test_json_writer_rejects_other_types(obj):
     with pytest.raises(TypeError):
-        _json_text(obj)
+        json_text(obj)

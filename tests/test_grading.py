@@ -2,6 +2,7 @@ import pytest
 
 from colorlie.errors import ArityMismatch
 from colorlie.grading import Bicharacter, GradingGroup
+from colorlie.scalars import CycloScalar
 
 
 def test_element_arithmetic():
@@ -95,12 +96,19 @@ def test_bicharacter_axioms_exhaustive(group, table):
     elements = group.elements()
     assert len(elements) <= 16
     one = b.eps(group.zero(), group.zero())
+    m = group.exponent
     for a in elements:
         assert b.eps(group.zero(), a) == 1
         assert b.eps(a, group.zero()) == 1
         assert b.eps(a, a) in (1, -1)
         for c in elements:
             assert b.eps(a, c) * b.eps(c, a) == one
+            k = b.exponent(a, c)
+            assert 0 <= k < m
+            assert b.eps(a, c) == CycloScalar.root(m, k)
             for e in elements:
                 assert b.eps(a, c + e) == b.eps(a, c) * b.eps(a, e)
                 assert b.eps(a + c, e) == b.eps(a, e) * b.eps(c, e)
+                # the sum of exponents is what the row assembly carries along a tuple
+                assert b.exponent(a, c + e) == (k + b.exponent(a, e)) % m
+                assert b.exponent(a + c, e) == (b.exponent(a, e) + b.exponent(c, e)) % m

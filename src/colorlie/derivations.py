@@ -21,15 +21,17 @@ one linear system per degree and takes its kernel, while
 every basis tuple. They share no assembly code and are cross-checked in
 the test suite.
 
-The kernel route reads basis brackets from a sparse table of nonzero
-(k, c) pairs, so rows no nonzero bracket reaches are never built, and
-twists the i-th term by zeta_m^(w[t_1] + .. + w[t_{i-1}]), w[j] being the
-exponent of eps(gamma, deg e_j); a bicharacter valid on the group, as
-``ColorAlgebra`` requires, is biadditive mod m. It uses that
-Inn <= Der <= nDer in every degree of a Lie color algebra: when the axiom
-check passes, the inner block is taken as known and only its complement is
-solved for, and elimination stops once that system reaches full rank.
-Input failing the check streams every row.
+The kernel route reads basis brackets from a table of the nonzero ones,
+as (k, c) pairs, and builds rows only for the tuples at most one free swap
+from a nonzero bracket, so its rows scale with those: a perfect algebra
+still pays for nearly all d^n, a nilpotent one for few. It twists the i-th
+term by zeta_m^(w[t_1] + .. + w[t_{i-1}]), w[j] being the exponent of
+eps(gamma, deg e_j); a bicharacter valid on the group, as ``ColorAlgebra``
+requires, is biadditive mod m. It uses that Inn <= Der <= nDer in every
+degree of a Lie color algebra: when the axiom check passes, the inner block
+is taken as known and only its complement is solved for, and elimination
+stops once that system reaches full rank. Input failing the check streams
+every row.
 
 Constraint rows are ordered lexicographically over
 (degree, x1..xn, output coordinate); together with canonical echelon
@@ -242,13 +244,14 @@ class DerivationSpace:
         return f"DerivationSpace(n={self.n}, dims={dims}, total={self.total_dim})"
 
 
-def _basis_bracket_table(a: ColorAlgebra, n: int) -> dict:
-    """Left-normed brackets of all basis n-tuples, built by extending prefixes;
-    each is the tuple of its nonzero (k, c) pairs, in increasing k."""
+def _basis_bracket_table(a: ColorAlgebra, n: int) -> tuple:
+    """Nonzero left-normed brackets of basis n-tuples in lexicographic order, as
+    (k, c) pairs in increasing k, and ``ahead[p]``: the j with p + (j,) a prefix
+    of a key. Only nonzero prefixes are extended; at most d^n keys are held."""
     key = ("bracket_table", n)
-    table = a._cache.get(key)
-    if table is not None:
-        return table
+    cached = a._cache.get(key)
+    if cached is not None:
+        return cached
     d = a.dim
     one = a.one_scalar()
     nz = a._nonzero_constants()
@@ -262,18 +265,25 @@ def _basis_bracket_table(a: ColorAlgebra, n: int) -> dict:
                     for k, c in nz[i][j]:
                         p = vi * c
                         out[k] = out[k] + p if k in out else p
-                nxt[t + (j,)] = tuple((k, out[k]) for k in sorted(out) if out[k])
+                pairs = tuple((k, out[k]) for k in sorted(out) if out[k])
+                if pairs:
+                    nxt[t + (j,)] = pairs
         level = nxt
-    a._cache[key] = level
-    return level
+    ahead = {}
+    for t in level:
+        for i in range(n):
+            ahead.setdefault(t[:i], set()).add(t[i])
+    cached = a._cache[key] = (level, ahead)
+    return cached
 
 
 def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -> DerivationSpace:
     """Kernel, per degree, of the defining identity on all basis n-tuples.
 
-    n = 2 is the ordinary derivation space Der. Cost grows like d^n * d
-    rows per degree, so n is capped (default 4); pass a larger max_n to
-    override deliberately.
+    n = 2 is the ordinary derivation space Der. Per degree, rows are built
+    for the tuples at most one free swap from a nonzero bracket, up to
+    d^n * d on a perfect algebra, so n is capped (default 4); pass a larger
+    max_n to override deliberately.
 
     On a Lie color algebra (the axiom check passes) every
     ad x is a derivation, hence an n-derivation, of degree deg x, so each
@@ -298,36 +308,58 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     d = a.dim
     m = a.conductor
     zero = CycloScalar.zero(m)
-    table = _basis_bracket_table(a, n)
+    table, ahead = _basis_bracket_table(a, n)
     known = inner_derivation_space(a).blocks if a.check_axioms().ok else {}
     blocks = {}
     for gamma, coords in a.degree_table().blocks.items():
         inner = known.get(gamma) or Subspace.zero(len(coords), m)
         taken = set(inner.pivots)
         free = [pos for pos in range(len(coords)) if pos not in taken]
-        # the free columns of input coordinate l, as (output r, column) for M[r][l]
+        # free columns (output r, column) of M[r][l] by input l; inputs l by output r
         by_input = [[] for _ in range(d)]
+        by_output = [set() for _ in range(d)]
         for col, pos in enumerate(free):
             r, l = coords[pos]
             by_input[l].append((r, col))
+            by_output[r].add(l)
         # eps(gamma, deg x1 + .. + deg x_{i-1}) = zeta_m^(w[t_1] + .. + w[t_{i-1}])
         w = [a.bichar.exponent(gamma, g) for g in a.degrees]
+
+        def tuples():
+            # depth first, in lexicographic order; enters p + (j,) only when it is
+            # at most one free swap (x for t_i, M[x][t_i] free) from a key's prefix
+            stack = [()]
+            while stack:
+                p = stack.pop()
+                if len(p) == n:
+                    yield p
+                    continue
+                here = ahead.get(p, ())
+                after = set(here)
+                for x in here:
+                    after |= by_output[x]
+                for i, l in enumerate(p):
+                    if len(after) == d:
+                        break
+                    for x, _ in by_input[l]:
+                        after.update(ahead.get(p[:i] + (x,) + p[i + 1:], ()))
+                stack.extend(p + (j,) for j in sorted(after, reverse=True))
 
         def rows():
             # per tuple, only the output coordinates some nonzero term reaches
             def new_row():
                 return [zero] * len(free)
 
-            for t, bracket in table.items():
+            for t in tuples():
                 acc = defaultdict(new_row)
-                for l, c in bracket:
+                for l, c in table.get(t, ()):
                     for r, col in by_input[l]:
                         acc[r][col] += c
                 k = 0
                 for i, j in enumerate(t):
                     e = CycloScalar.root(m, k)
                     for x, col in by_input[j]:
-                        for r, c in table[t[:i] + (x,) + t[i + 1:]]:
+                        for r, c in table.get(t[:i] + (x,) + t[i + 1:], ()):
                             acc[r][col] -= e * c
                     k = (k + w[j]) % m
                 for r in sorted(acc):

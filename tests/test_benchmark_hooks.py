@@ -95,3 +95,39 @@ def test_centralizer_rows_stop_bracketing_at_full_rank():
     a = catalog.get("osp12")
     counter = _counted_calls(lambda: derivations.verify_centralizer_trivial(a, 3))
     assert counter["maps.bracket_calls"] <= 15
+
+
+def _nonzero_tuples(a, n):
+    from itertools import product
+
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    return [
+        t for t in product(range(a.dim), repeat=n)
+        if any(a.left_normed_bracket([basis[j] for j in t]))
+    ]
+
+
+def test_bracket_table_holds_only_nonzero_brackets():
+    # the tracer times _basis_bracket_table; its keys are exactly the tuples
+    # with a nonzero bracket, in lexicographic order, and ahead[p] holds the
+    # next entries of their prefixes
+    from colorlie import catalog, derivations
+
+    for name, n in (("osp12", 4), ("heis3", 3)):
+        a = catalog.get(name)
+        table, ahead = derivations._basis_bracket_table(a, n)
+        assert list(table) == _nonzero_tuples(a, n), name
+        prefixes = {}
+        for t in table:
+            for i in range(n):
+                prefixes.setdefault(t[:i], set()).add(t[i])
+        assert ahead == prefixes, name
+
+
+def test_bracket_table_is_empty_when_every_bracket_vanishes():
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from colorlie import derivations
+    from perfbench.algebras import heisenberg
+
+    assert derivations._basis_bracket_table(heisenberg(3), 4) == ({}, {})

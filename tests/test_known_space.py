@@ -5,18 +5,30 @@ known part of every block and solves only for the rest. Forcing the axiom
 check to fail makes it stream the whole system instead; both must give the
 same canonical bases. On input that breaks Jacobi the known space is not
 used, and the tests show it must not be.
+
+The rows each block streams are checked against a brute-force system built
+from ``left_normed_bracket``, and the computed spaces and verdicts against
+the same algebra after a graded basis change.
 """
 
-import pytest
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
-from colorlie import catalog
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from colorlie import catalog, derivations
 from colorlie.algebra import AxiomReport, ColorAlgebra
 from colorlie.derivations import (
     ad,
     inner_derivation_space,
     is_n_derivation,
     n_derivation_space,
+    verify_nder_equals_der,
+    verify_second_statement,
 )
+from colorlie.errors import PreconditionFailed
 from colorlie.grading import Bicharacter, GradingGroup
 from colorlie.scalars import CycloScalar
 
@@ -96,3 +108,169 @@ def test_inner_in_der_in_nder_blockwise(name):
         for gamma in a.group.elements():
             assert der.blocks[gamma].contains(inner.blocks[gamma]), (name, gamma)
             assert nder.blocks[gamma].contains(der.blocks[gamma]), (name, n, gamma)
+
+
+# -- the row stream against a brute-force system -----------------------------
+
+
+def _streamed(a, n, monkeypatch):
+    """Per block, in degree-table order: the rows streamed into the elimination,
+    and whether the stream ran to its end."""
+    streams = []
+    real = derivations.kernel_from_rows
+
+    def capture(rows, cols, m):
+        seen = [[], False]
+        streams.append(seen)
+
+        def recorded():
+            for row in rows:
+                seen[0].append(list(row))
+                yield row
+            seen[1] = True
+
+        return real(recorded(), cols, m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(derivations, "kernel_from_rows", capture)
+        n_derivation_space(a, n)
+    return streams
+
+
+def _reference_rows(a, n, gamma, free):
+    """The nonzero rows of D[t] - sum_i eps(gamma, deg t_1 + .. + deg t_(i-1)) [..D(t_i)..]
+    over the free coordinates (r, l), D(e_l) = e_r, in (tuple, output) order."""
+    d = a.dim
+    basis = [a.basis_vector(i) for i in range(d)]
+    brackets = {
+        t: a.left_normed_bracket([basis[j] for j in t]) for t in product(range(d), repeat=n)
+    }
+    zero = a.zero_scalar()
+    out = []
+    for t, bracket in brackets.items():
+        rows = [[zero] * len(free) for _ in range(d)]
+        for col, (r, l) in enumerate(free):
+            rows[r][col] += bracket[l]
+        s = a.group.zero()
+        for i in range(n):
+            e = a.bichar.eps(gamma, s)
+            for col, (r, l) in enumerate(free):
+                if t[i] == l:
+                    term = brackets[t[:i] + (r,) + t[i + 1:]]
+                    for k in range(d):
+                        rows[k][col] -= e * term[k]
+            s = s + a.degrees[t[i]]
+        out.extend(row for row in rows if any(row))
+    return out
+
+
+def _check_stream(a, n, monkeypatch):
+    streams = _streamed(a, n, monkeypatch)
+    known = inner_derivation_space(a).blocks if a.check_axioms().ok else {}
+    blocks = a.degree_table().blocks
+    assert len(streams) == len(blocks)
+    for (gamma, coords), (rows, ran_out) in zip(blocks.items(), streams):
+        taken = set(known[gamma].pivots) if gamma in known else set()
+        free = [rl for pos, rl in enumerate(coords) if pos not in taken]
+        want = _reference_rows(a, n, gamma, free)
+        got = [row for row in rows if any(row)]
+        assert got == want[:len(got)], (gamma, n)
+        if ran_out:
+            assert len(got) == len(want), (gamma, n)
+    return streams
+
+
+@pytest.mark.parametrize("name", CATALOG + ("torus3",))
+@pytest.mark.parametrize("n", (2, 3))
+def test_streamed_rows_match_the_brute_force_system(name, n, monkeypatch):
+    _check_stream(_fresh(name), n, monkeypatch)
+
+
+def test_heis3_streamed_rows_at_n4(monkeypatch):
+    _check_stream(catalog.get("heis3"), 4, monkeypatch)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_jacobi_breaking_sl2_streams_every_row(n, monkeypatch):
+    streams = _check_stream(_jacobi_breaking_sl2(), n, monkeypatch)
+    assert all(ran_out for _, ran_out in streams)
+
+
+# -- invariance under a graded basis change ----------------------------------
+
+
+def _changed_basis(a, perm, scales, shears):
+    """a in the basis f: f_i = s_i e_perm(i), then f_i += c f_j for each shear (i, j, c).
+
+    P holds the f_i as columns in e coordinates and Q = P^-1; every step
+    keeps deg f_i = deg e_i, so the degree list is unchanged.
+    """
+    d = a.dim
+    P = [[scales[i] if k == perm[i] else Fraction(0) for i in range(d)] for k in range(d)]
+    Q = [[1 / scales[k] if i == perm[k] else Fraction(0) for i in range(d)] for k in range(d)]
+    for i, j, c in shears:
+        for row in P:
+            row[i] += c * row[j]
+        Q[j] = [qj - c * qi for qj, qi in zip(Q[j], Q[i])]
+    columns = [a.vector([P[k][i] for k in range(d)]) for i in range(d)]
+    zero = a.zero_scalar()
+    constants = []
+    for x in columns:
+        plane = []
+        for y in columns:
+            v = a.bracket(x, y)
+            plane.append([sum((v[k] * q for k, q in enumerate(Q[l]) if q), zero) for l in range(d)])
+        constants.append(plane)
+    return ColorAlgebra(a.group, a.bichar, a.degrees, constants, names=a.names)
+
+
+@st.composite
+def _graded_basis_changes(draw, degrees):
+    classes = {}
+    for i, g in enumerate(degrees):
+        classes.setdefault(g, []).append(i)
+    perm = list(range(len(degrees)))
+    for members in classes.values():
+        for i, j in zip(members, draw(st.permutations(members))):
+            perm[i] = j
+    nonzero = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 3))
+    scales = draw(st.lists(nonzero, min_size=len(degrees), max_size=len(degrees)))
+    pairs = [(i, j) for members in classes.values() for i in members for j in members if i != j]
+    shears = []
+    if pairs:
+        shears = draw(st.lists(st.tuples(st.sampled_from(pairs), nonzero), max_size=3))
+    return perm, scales, [(i, j, c) for (i, j), c in shears]
+
+
+def _invariants(a):
+    """Per-degree nDer dimensions for n = 2..4, and the part 1 and part 2 verdicts."""
+    dims = [
+        {gamma.residues: sub.dim for gamma, sub in n_derivation_space(a, n).blocks.items()}
+        for n in (2, 3, 4)
+    ]
+    part1 = [verify_nder_equals_der(a, n).to_jsonable() for n in (2, 3, 4)]
+    part2 = []
+    for n in (2, 3, 4):
+        try:
+            report = verify_second_statement(a, n)
+        except PreconditionFailed:
+            part2.append(None)
+        else:
+            part2.append((report.passed, report.block_dims))
+    return dims, part1, part2
+
+
+@lru_cache(maxsize=None)
+def _base_invariants(name):
+    return _invariants(_fresh(name))
+
+
+@pytest.mark.parametrize("name", CATALOG + ("torus3",))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_graded_basis_change_keeps_spaces_and_verdicts(name, data):
+    a = _fresh(name)
+    perm, scales, shears = data.draw(_graded_basis_changes(a.degrees))
+    b = _changed_basis(a, perm, scales, shears)
+    assert b.check_axioms().ok
+    assert _invariants(b) == _base_invariants(name)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, NonHomogeneous, TooFewArguments, ValidationError
 from .grading import Bicharacter, GradingGroup, GroupElement
-from .linalg import Subspace, kernel_from_rows
+from .linalg import Subspace, _kernel_from_pairs
 from .scalars import CycloScalar, parse_scalar
 
 
@@ -246,8 +246,10 @@ class ColorAlgebra:
     def check_axioms(self) -> AxiomReport:
         """Exhaustively verify grading support, eps-antisymmetry, eps-Jacobi.
 
-        Every violating index tuple is reported, in index order. The check
-        runs once per algebra; each call returns a fresh copy of the report.
+        Every violating index tuple is reported, in index order. Jacobi is
+        summed only over the nonzero [e_x, [e_y, e_z]]: a triple none of whose
+        rotations has a nonzero term holds trivially. The check runs once per
+        algebra; each call returns a fresh copy of the report.
         """
         report = self._cache.get("axioms")
         if report is None:
@@ -271,35 +273,42 @@ class ColorAlgebra:
                     total[k] = total.get(k, zero) + e * b
                 if any(total.values()):
                     report.antisymmetry.append((i, j))
-        # [e_x, [e_y, e_z]] once per (x, y, z), as its nonzero (p, coefficient) pairs
+        # the nonzero [e_x, [e_y, e_z]], as (p, coefficient) pairs; only a
+        # nonzero [e_y, e_z] can give one
         nested = {}
-        for x in range(d):
-            for y in range(d):
-                for z in range(d):
-                    out = {}
-                    for l, c in nz[y][z]:
-                        for p, b in nz[x][l]:
-                            out[p] = out.get(p, zero) + c * b
-                    nested[x, y, z] = [(p, v) for p, v in out.items() if v]
+        for y in range(d):
+            for z in range(d):
+                if nz[y][z]:
+                    for x in range(d):
+                        out = {}
+                        for l, c in nz[y][z]:
+                            for p, b in nz[x][l]:
+                                v = out.get(p)
+                                out[p] = c * b if v is None else v + c * b
+                        pairs = [(p, v) for p, v in out.items() if v]
+                        if pairs:
+                            nested[x, y, z] = pairs
         # the cyclic sum of (i, j, k) has the same three terms as those of
-        # (j, k, i) and (k, i, j), so it is evaluated once per rotation class
-        holds = {}
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    key = min((i, j, k), (j, k, i), (k, i, j))
-                    if key not in holds:
-                        total = {}
-                        for t, term in (
-                            (eps[k][i], (i, j, k)),
-                            (eps[i][j], (j, k, i)),
-                            (eps[j][k], (k, i, j)),
-                        ):
-                            for p, v in nested[term]:
-                                total[p] = total.get(p, zero) + t * v
-                        holds[key] = not any(total.values())
-                    if not holds[key]:
-                        report.jacobi.append((i, j, k))
+        # (j, k, i) and (k, i, j), so it is evaluated once per rotation class,
+        # and only for classes with a nonzero term
+        seen = set()
+        for i, j, k in nested:
+            if (i, j, k) in seen:
+                continue
+            rotations = {(i, j, k), (j, k, i), (k, i, j)}
+            seen |= rotations
+            total = {}
+            for t, term in (
+                (eps[k][i], (i, j, k)),
+                (eps[i][j], (j, k, i)),
+                (eps[j][k], (k, i, j)),
+            ):
+                for p, v in nested.get(term, ()):
+                    u = total.get(p)
+                    total[p] = t * v if u is None else u + t * v
+            if any(total.values()):
+                report.jacobi.extend(rotations)
+        report.jacobi.sort()
         return report
 
     # -- classical subspaces ---------------------------------------------------
@@ -332,7 +341,8 @@ class ColorAlgebra:
         """Kernel of v -> ([v, s])_{s in vectors}; empty set gives the full space.
 
         The rows of one s are built only when the elimination asks for them,
-        so none is built once the rank is full.
+        so none is built once the rank is full. Each row k is built sparse,
+        as the (i, coefficient of v_i) pairs of its nonzero entries.
         """
         vectors = list(vectors)
         if any(len(s) != self.dim for s in vectors):
@@ -343,15 +353,19 @@ class ColorAlgebra:
         def rows():
             for s in vectors:
                 # coefficient of v_i in [v, s]_k is sum_j s_j c[i][j][k]
-                grid = [[self.zero_scalar()] * d for _ in range(d)]
+                grid = [{} for _ in range(d)]
                 for i in range(d):
                     for j, sj in enumerate(s):
                         if sj:
                             for k, c in nz[i][j]:
-                                grid[k][i] = grid[k][i] + sj * c
-                yield from grid
+                                row = grid[k]
+                                v = row.get(i)
+                                row[i] = sj * c if v is None else v + sj * c
+                # each row's keys were added in increasing i
+                for row in grid:
+                    yield [(i, v) for i, v in row.items() if v]
 
-        return kernel_from_rows(rows(), d, self.conductor)
+        return _kernel_from_pairs(rows(), d, self.conductor)
 
     def __eq__(self, other):
         if self is other:

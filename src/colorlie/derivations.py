@@ -55,7 +55,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .grading import GroupElement
-from .linalg import Subspace, kernel_from_rows
+from .linalg import Subspace, _kernel_from_pairs, _pairs, kernel_from_rows
 from .scalars import CycloScalar
 
 DEFAULT_MAX_N = 4
@@ -292,6 +292,9 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     K's canonical basis, so only the other columns are assembled; when
     nDer = Inn in a block they have full rank and the stream stops early.
     Without the certificate K is zero and every column is solved.
+
+    Each constraint row is streamed as sorted (column, value) pairs of its
+    nonzero entries over the free columns, ``[]`` when its terms cancel.
     """
     if n < 2:
         raise BadArity(f"n-derivations need n >= 2, got {n}")
@@ -307,7 +310,6 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
 
     d = a.dim
     m = a.conductor
-    zero = CycloScalar.zero(m)
     table, ahead = _basis_bracket_table(a, n)
     known = inner_derivation_space(a).blocks if a.check_axioms().ok else {}
     blocks = {}
@@ -346,36 +348,33 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
                 stack.extend(p + (j,) for j in sorted(after, reverse=True))
 
         def rows():
-            # per tuple, only the output coordinates some nonzero term reaches
-            def new_row():
-                return [zero] * len(free)
-
+            # per tuple, only the output coordinates some nonzero term reaches,
+            # each summed as {column: value} and yielded as its sorted nonzero
+            # pairs, [] when the terms cancel
             for t in tuples():
-                acc = defaultdict(new_row)
+                acc = defaultdict(dict)
                 for l, c in table.get(t, ()):
                     for r, col in by_input[l]:
-                        acc[r][col] += c
+                        acc[r][col] = c
                 k = 0
                 for i, j in enumerate(t):
                     e = CycloScalar.root(m, k)
                     for x, col in by_input[j]:
                         for r, c in table.get(t[:i] + (x,) + t[i + 1:], ()):
-                            acc[r][col] -= e * c
+                            row = acc[r]
+                            v = row.get(col)
+                            row[col] = -(e * c) if v is None else v - e * c
                     k = (k + w[j]) % m
                 for r in sorted(acc):
-                    yield acc[r]
+                    yield [(col, v) for col, v in sorted(acc[r].items()) if v]
 
-        rest = kernel_from_rows(rows(), len(free), m)
+        rest = _kernel_from_pairs(rows(), len(free), m)
         if not inner.dim:
             blocks[gamma] = rest
             continue
-        vectors = list(inner.basis.entries)
-        for row in rest.basis.entries:
-            v = [zero] * len(coords)
-            for pos, c in zip(free, row):
-                v[pos] = c
-            vectors.append(v)
-        blocks[gamma] = Subspace.from_rows(len(coords), vectors, m)
+        vectors = [_pairs(row) for row in inner.basis.entries]
+        vectors += ([(free[col], c) for col, c in _pairs(row)] for row in rest.basis.entries)
+        blocks[gamma] = Subspace._from_pairs(len(coords), vectors, m)
 
     space = DerivationSpace(a, n, blocks)
     a._cache[key] = space

@@ -7,64 +7,81 @@ set free variables by the standard unit-vector convention, and ``solve``
 puts zeros in the free coordinates. Two subspaces are equal exactly when
 their canonical bases are literally equal.
 
-Rows are dense lists of scalars, so every entry stays addressable by its
-column, but the updates are sparse: elimination and ``coordinates_of``
-multiply and subtract only at the nonzero entries of the row they combine,
-where most entries of a derivation system are zero.
+Elimination runs on sparse rows: a row is a list of (column, value) pairs
+with strictly increasing columns and nonzero values only, and ``[]`` is the
+zero row. Rows stay sparse from the constraint systems through ``_rref_rows``
+to the kernel vectors, where most entries are zero. Rows go dense only at
+the boundary: ``_rref_rows`` returns dense reduced rows, which
+``MatrixExact`` and ``Subspace`` hold, and the public entry points
+(``kernel_from_rows``, ``Subspace.from_rows``, the ``MatrixExact`` methods)
+take dense rows and pass each through ``_pairs``.
 """
 
 from __future__ import annotations
-
-from bisect import insort
-from operator import itemgetter
 
 from .errors import AmbientMismatch, DimensionMismatch, NoSolution
 from .scalars import CycloScalar
 
 
+def _pairs(row) -> list:
+    """A dense row as a sparse one: the (column, value) pairs of its nonzero entries."""
+    return [(j, a) for j, a in enumerate(row) if a]
+
+
+def _subtract(row, c, other):
+    # row -= c * other on other's entries; entries that cancel are dropped
+    for j, v in other.items():
+        b = row.pop(j, None)
+        b = -(c * v) if b is None else b - c * v
+        if b:
+            row[j] = b
+
+
 def _rref_rows(rows, cols):
-    """Reduce a list of scalar rows; returns (reduced rows, pivot columns).
+    """Reduce sparse rows; returns (dense reduced rows, pivot columns).
 
-    Incrementally absorbs each row into a maintained reduced echelon set,
-    which keeps at most ``cols`` live rows regardless of input length. The
-    result is the unique RREF of the row space, zero rows dropped. Once the
-    rank reaches ``cols`` the RREF is the identity whatever follows, so no
-    further row is pulled from ``rows``.
+    ``rows`` is an iterable of sparse rows over ``range(cols)``. Each is
+    absorbed into a maintained reduced echelon set, held as one
+    {column: value} dict of nonzero entries per pivot column, so at most
+    ``cols`` rows stay live regardless of input length. The result is the
+    unique RREF of the row space, zero rows dropped, as dense rows in pivot
+    order. Once the rank reaches ``cols`` the RREF is the identity whatever
+    follows, so no further row is pulled from ``rows``.
 
-    Each echelon row carries the list of its nonzero columns, and every
-    update runs over such a list only: an incoming row is reduced at the
-    nonzero columns of the echelon rows it meets, normalized at its own,
-    and subtracted from the echelon rows at its own; the rows it changed
-    then get their column lists refreshed.
+    The echelon set is fully reduced, so every echelon row is zero at the
+    other pivots: an incoming row is reduced once by each pivot it holds,
+    and no reduction step adds an entry at a pivot column. Normalization
+    and back-substitution run over the new row's entries only.
     """
-    echelon = []  # [pivot_col, normalized row, its nonzero columns], by pivot_col
+    echelon = {}  # pivot column -> {column: nonzero value}, the pivot's 1 left out
     rows = iter(rows)
     while len(echelon) < cols:
         row = next(rows, None)
         if row is None:
             break
-        work = list(row)
-        for pc, prow, pnz in echelon:
-            c = work[pc]
-            if c:
-                for j in pnz:
-                    work[j] = work[j] - c * prow[j]
-        nz = [i for i, a in enumerate(work) if a]
-        if not nz:
+        work = dict(row)
+        for pc in [j for j in work if j in echelon]:
+            _subtract(work, work.pop(pc), echelon[pc])
+        if not work:
             continue
-        lead = nz[0]
-        inv = work[lead].inv()
-        for j in nz:
-            work[j] = work[j] * inv
-        for entry in echelon:
-            prow = entry[1]
-            c = prow[lead]
-            if c:
-                for j in nz:
-                    prow[j] = prow[j] - c * work[j]
-                entry[2] = [j for j in sorted({*entry[2], *nz}) if prow[j]]
-        insort(echelon, [lead, work, nz], key=itemgetter(0))
-    return [r for _, r, _ in echelon], [pc for pc, _, _ in echelon]
+        lead = min(work)
+        inv = work.pop(lead).inv()
+        work = {j: v * inv for j, v in work.items()}
+        for prow in echelon.values():
+            c = prow.pop(lead, None)
+            if c is not None:
+                _subtract(prow, c, work)
+        echelon[lead] = work
+        m = inv.conductor
+    pivots = sorted(echelon)
+    reduced = []
+    for pc in pivots:
+        dense = [CycloScalar.zero(m)] * cols
+        dense[pc] = CycloScalar.one(m)
+        for j, v in echelon[pc].items():
+            dense[j] = v
+        reduced.append(dense)
+    return reduced, pivots
 
 
 class MatrixExact:
@@ -109,11 +126,11 @@ class MatrixExact:
         )
 
     def rref(self) -> "MatrixExact":
-        reduced, _ = _rref_rows(self.entries, self.cols)
+        reduced, _ = _rref_rows(map(_pairs, self.entries), self.cols)
         return MatrixExact(self.conductor, reduced, cols=self.cols)
 
     def rank(self) -> int:
-        _, pivots = _rref_rows(self.entries, self.cols)
+        _, pivots = _rref_rows(map(_pairs, self.entries), self.cols)
         return len(pivots)
 
     def kernel(self) -> "Subspace":
@@ -128,7 +145,7 @@ class MatrixExact:
         b = tuple(b)
         if len(b) != self.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {self.rows}")
-        aug = [list(row) + [rhs] for row, rhs in zip(self.entries, b)]
+        aug = (_pairs((*row, rhs)) for row, rhs in zip(self.entries, b))
         reduced, pivots = _rref_rows(aug, self.cols + 1)
         if self.cols in pivots:
             raise NoSolution("right side is outside the column space")
@@ -178,6 +195,11 @@ class Subspace:
 
     @staticmethod
     def from_rows(ambient_dim: int, rows, conductor: int) -> "Subspace":
+        return Subspace._from_pairs(ambient_dim, map(_pairs, rows), conductor)
+
+    @staticmethod
+    def _from_pairs(ambient_dim: int, rows, conductor: int) -> "Subspace":
+        # the span of sparse rows
         reduced, _ = _rref_rows(rows, ambient_dim)
         return Subspace(ambient_dim, MatrixExact(conductor, reduced, cols=ambient_dim))
 
@@ -269,22 +291,24 @@ class Subspace:
 
 
 def kernel_from_rows(rows, cols: int, conductor: int) -> Subspace:
-    """Null space of a constraint matrix given as an iterable of rows.
+    """Null space of a constraint matrix given as an iterable of dense rows.
 
     Streams the rows through incremental reduction, so callers can generate
     large systems lazily; the answer is the canonical kernel basis.
     """
+    return _kernel_from_pairs(map(_pairs, rows), cols, conductor)
+
+
+def _kernel_from_pairs(rows, cols: int, conductor: int) -> Subspace:
+    # kernel_from_rows on sparse rows; the basis vector of a free column f
+    # is e_f - sum of prow[f] e_pc over the pivot rows, built sparse
     reduced, pivots = _rref_rows(rows, cols)
-    z = CycloScalar.zero(conductor)
-    o = CycloScalar.one(conductor)
+    one = CycloScalar.one(conductor)
     pivot_set = set(pivots)
     vectors = []
     for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [z] * cols
-        v[f] = o
-        for prow, pc in zip(reduced, pivots):
-            v[pc] = -prow[f]
-        vectors.append(v)
-    return Subspace.from_rows(cols, vectors, conductor)
+        if f not in pivot_set:
+            v = [(pc, -prow[f]) for prow, pc in zip(reduced, pivots) if prow[f]]
+            v.append((f, one))
+            vectors.append(v)
+    return Subspace._from_pairs(cols, vectors, conductor)

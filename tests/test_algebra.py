@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from colorlie.errors import (
     ValidationError,
 )
 from colorlie.grading import Bicharacter, GradingGroup
-from colorlie.linalg import Subspace
+from colorlie.linalg import MatrixExact, Subspace
 from colorlie.scalars import CycloScalar
 
 ALL_NAMES = ("sl2", "heis3", "aff2", "abelian(2)", "colorSl2", "osp12")
@@ -155,6 +156,36 @@ def test_centralizer(algebras):
     assert heis.centralizer([]).dim == 3
 
 
+def _sheared_sl2(sl2):
+    """sl2 in the basis (e + h, h, f), where [b_i, b_j] has several b_k at once."""
+    basis = [sl2.vector(v) for v in ((1, 1, 0), (0, 1, 0), (0, 0, 1))]
+    constants = []
+    for x in basis:
+        plane = []
+        for y in basis:
+            ve, vh, vf = sl2.bracket(x, y)
+            plane.append([ve, vh - ve, vf])
+        constants.append(plane)
+    return ColorAlgebra(sl2.group, sl2.bichar, sl2.degrees, constants)
+
+
+def test_centralizer_of_combinations_matches_the_bracket(algebras):
+    # a vector with several nonzero coordinates, or a non-monomial basis, sums
+    # several constants into one entry of a row
+    rng = random.Random(7)
+    cases = dict(algebras, sheared_sl2=_sheared_sl2(algebras["sl2"]))
+    for name, a in cases.items():
+        d = a.dim
+        basis = [a.basis_vector(i) for i in range(d)]
+        for _ in range(3):
+            vectors = [
+                a.vector([rng.randint(-2, 2) for _ in range(d)])
+                for _ in range(rng.randint(1, 2))
+            ]
+            rows = [[a.bracket(basis[i], s)[k] for i in range(d)] for s in vectors for k in range(d)]
+            assert a.centralizer(vectors) == MatrixExact(a.conductor, rows, cols=d).kernel(), name
+
+
 def test_center_inside_centralizers(algebras):
     rng = random.Random(5)
     for name, a in algebras.items():
@@ -273,6 +304,12 @@ def test_axiom_report_matches_reference_loop(algebras):
             report = _assert_report_matches_reference(_mutate(base, i, j, k, 1))
             jacobi_hits += bool(report.jacobi)
         assert jacobi_hits >= len(slots) - 6, name
+    # in heis3 and aff2 most nested brackets are zero, and a mutation can
+    # create one where none was: every single-constant mutation is checked
+    for name in ("heis3", "aff2"):
+        base = algebras[name]
+        for i, j, k in product(range(base.dim), repeat=3):
+            _assert_report_matches_reference(_mutate(base, i, j, k, 1))
     # doubling both orders of an osp12 bracket keeps grading and antisymmetry
     osp12 = algebras["osp12"]
     for i, j, k in [(0, 1, 0), (0, 4, 3), (3, 4, 1), (3, 3, 0)]:

@@ -30,6 +30,7 @@ from colorlie.derivations import (
 )
 from colorlie.errors import PreconditionFailed
 from colorlie.grading import Bicharacter, GradingGroup
+from colorlie.linalg import _kernel_from_pairs, _pairs, kernel_from_rows
 from colorlie.scalars import CycloScalar
 
 CATALOG = ("sl2", "heis3", "aff2", "colorSl2", "osp12", "abelian(3)")
@@ -114,27 +115,36 @@ def test_inner_in_der_in_nder_blockwise(name):
 
 
 def _streamed(a, n, monkeypatch):
-    """Per block, in degree-table order: the rows streamed into the elimination,
-    and whether the stream ran to its end."""
+    """Per block, in degree-table order: the sparse rows streamed into the
+    elimination, whether the stream ran to its end, the column count and the
+    kernel the elimination returned."""
     streams = []
-    real = derivations.kernel_from_rows
+    real = derivations._kernel_from_pairs
 
     def capture(rows, cols, m):
-        seen = [[], False]
+        seen = [[], False, cols, None]
         streams.append(seen)
 
         def recorded():
             for row in rows:
-                seen[0].append(list(row))
+                seen[0].append(row)
                 yield row
             seen[1] = True
 
-        return real(recorded(), cols, m)
+        seen[3] = real(recorded(), cols, m)
+        return seen[3]
 
     with monkeypatch.context() as patch:
-        patch.setattr(derivations, "kernel_from_rows", capture)
+        patch.setattr(derivations, "_kernel_from_pairs", capture)
         n_derivation_space(a, n)
     return streams
+
+
+def _dense(row, cols, zero):
+    out = [zero] * cols
+    for col, value in row:
+        out[col] = value
+    return out
 
 
 def _reference_rows(a, n, gamma, free):
@@ -169,11 +179,12 @@ def _check_stream(a, n, monkeypatch):
     known = inner_derivation_space(a).blocks if a.check_axioms().ok else {}
     blocks = a.degree_table().blocks
     assert len(streams) == len(blocks)
-    for (gamma, coords), (rows, ran_out) in zip(blocks.items(), streams):
+    zero = a.zero_scalar()
+    for (gamma, coords), (rows, ran_out, _, _) in zip(blocks.items(), streams):
         taken = set(known[gamma].pivots) if gamma in known else set()
         free = [rl for pos, rl in enumerate(coords) if pos not in taken]
         want = _reference_rows(a, n, gamma, free)
-        got = [row for row in rows if any(row)]
+        got = [_dense(row, len(free), zero) for row in rows if any(row)]
         assert got == want[:len(got)], (gamma, n)
         if ran_out:
             assert len(got) == len(want), (gamma, n)
@@ -193,7 +204,25 @@ def test_heis3_streamed_rows_at_n4(monkeypatch):
 @pytest.mark.parametrize("n", (2, 3))
 def test_jacobi_breaking_sl2_streams_every_row(n, monkeypatch):
     streams = _check_stream(_jacobi_breaking_sl2(), n, monkeypatch)
-    assert all(ran_out for _, ran_out in streams)
+    assert all(ran_out for _, ran_out, _, _ in streams)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+@pytest.mark.parametrize("n", (2, 3))
+def test_streamed_rows_are_sorted_nonzero_pairs(name, n, monkeypatch):
+    a = catalog.get(name)
+    zero = a.zero_scalar()
+    for rows, _, cols, kernel in _streamed(a, n, monkeypatch):
+        for row in rows:
+            assert type(row) is list
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in row)
+            columns = [col for col, _ in row]
+            assert columns == sorted(set(columns)) and set(columns) <= set(range(cols))
+            assert all(type(v) is CycloScalar and v for _, v in row)
+        # the dense entry point agrees with the sparse route on the same system
+        dense = [_dense(row, cols, zero) for row in rows]
+        assert kernel_from_rows(dense, cols, a.conductor) == kernel
+        assert _kernel_from_pairs(map(_pairs, dense), cols, a.conductor) == kernel
 
 
 # -- invariance under a graded basis change ----------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorlie.errors import AmbientMismatch, DimensionMismatch, NoSolution
-from colorlie.linalg import MatrixExact, Subspace, _rref_rows, kernel_from_rows
+from colorlie.linalg import MatrixExact, Subspace, _pairs, _rref_rows, kernel_from_rows
 from colorlie.scalars import CycloScalar
 
 
@@ -77,12 +77,13 @@ def _rows_then_raise(rows):
 
 def test_rref_stops_pulling_at_full_rank():
     rows = M([[0, 2], [1, 1]]).entries
-    reduced, pivots = _rref_rows(_rows_then_raise(rows), 2)
+    reduced, pivots = _rref_rows(_rows_then_raise(map(_pairs, rows)), 2)
     assert MatrixExact(1, reduced) == MatrixExact.identity(2) and pivots == [0, 1]
+    # the dense entry point is just as lazy
     assert kernel_from_rows(_rows_then_raise(rows), 2, 1).dim == 0
     # below full rank every row is read, so the generator's error surfaces
     with pytest.raises(AssertionError):
-        _rref_rows(_rows_then_raise(M([[1, 1], [2, 2]]).entries), 2)
+        _rref_rows(_rows_then_raise(map(_pairs, M([[1, 1], [2, 2]]).entries)), 2)
 
 
 def test_solve_still_detects_inconsistency_at_full_rank():
@@ -244,7 +245,7 @@ def _sparse_systems(draw):
 @given(_sparse_systems())
 def test_sparse_elimination_equals_dense_reference(system):
     m, cols, rows = system
-    assert _rref_rows(rows, cols) == _dense_rref_rows(rows, cols)
+    assert _rref_rows([_pairs(row) for row in rows], cols) == _dense_rref_rows(rows, cols)
     assert kernel_from_rows(rows, cols, m).basis.entries == tuple(
         tuple(r) for r in _dense_kernel(rows, cols, m)
     )

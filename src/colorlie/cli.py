@@ -147,15 +147,18 @@ def _cmd_der(a, args, report, lines):
         blocks.append(
             {"degree": list(gamma.residues), "dim": sub.dim, "basis_maps": basis}
         )
-        lines.append(f"degree {tuple(gamma.residues)}: dim {sub.dim}")
-        for idx, mat in enumerate(basis):
-            lines.append(f"  basis map {idx + 1}:")
-            lines.extend("    [" + ", ".join(row) + "]" for row in mat)
     report["n"] = args.n
     report["total_dim"] = space.total_dim
     report["blocks"] = blocks
     report["passed"] = True
-    lines.append(f"total dim: {space.total_dim}")
+    if not args.json:
+        # one line per degree: on a large group only worth building when printed
+        for block in blocks:
+            lines.append(f"degree {tuple(block['degree'])}: dim {block['dim']}")
+            for idx, mat in enumerate(block["basis_maps"]):
+                lines.append(f"  basis map {idx + 1}:")
+                lines.extend("    [" + ", ".join(row) + "]" for row in mat)
+        lines.append(f"total dim: {space.total_dim}")
     return 0
 
 
@@ -232,7 +235,7 @@ def run(argv) -> tuple[int, str]:
                 ) + "\n"
             return 0, "\n".join(catalog.names()) + "\n"
         if not args.name:
-            print("catalog emit requires a NAME", file=sys.stderr)
+            print("error: catalog emit requires a NAME", file=sys.stderr)
             return 2, ""
         try:
             a = catalog.get(args.name)

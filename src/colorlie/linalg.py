@@ -183,12 +183,13 @@ class MatrixExact:
 class Subspace:
     """A subspace of Q(zeta_m)^n held as its unique RREF basis, one vector per row."""
 
-    __slots__ = ("ambient_dim", "conductor", "basis")
+    __slots__ = ("ambient_dim", "conductor", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, basis: MatrixExact):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "conductor", basis.conductor)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_pivots", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -217,8 +218,11 @@ class Subspace:
 
     @property
     def pivots(self) -> list:
-        """The pivot column of each basis row, in order."""
-        return [next(i for i, a in enumerate(row) if a) for row in self.basis.entries]
+        """The pivot column of each basis row, in order; found once per subspace."""
+        if self._pivots is None:
+            pivots = [next(i for i, a in enumerate(row) if a) for row in self.basis.entries]
+            object.__setattr__(self, "_pivots", pivots)
+        return self._pivots
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

@@ -217,6 +217,36 @@ def test_cli_prints_catalog_errors_unquoted(capsys):
         assert capsys.readouterr().err == err, argv
 
 
+def test_cli_catalog_emit_without_a_name_prints_an_error_line(capsys):
+    assert run(["catalog", "emit"]) == (2, "")
+    assert capsys.readouterr().err == "error: catalog emit requires a NAME\n"
+
+
+def _der_human_lines(report: dict) -> list:
+    # the human layout of `der`, rebuilt from its (golden-pinned) JSON report
+    lines = [f"target: {report['target']} (fingerprint {report['fingerprint'][:12]})"]
+    for block in report["blocks"]:
+        lines.append(f"degree {tuple(block['degree'])}: dim {block['dim']}")
+        for idx, mat in enumerate(block["basis_maps"]):
+            lines.append(f"  basis map {idx + 1}:")
+            lines.extend("    [" + ", ".join(row) + "]" for row in mat)
+    lines.append(f"total dim: {report['total_dim']}")
+    return lines
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_cli_der_human_output_matches_its_json_report(name):
+    for n in ("2", "3"):
+        argv = ["der", f"catalog:{name}", "--n", n]
+        code, out = run(argv)
+        json_code, json_out = run(argv + ["--json"])
+        assert code == json_code == 0
+        *lines, elapsed = out.splitlines()
+        assert lines == _der_human_lines(json.loads(json_out)), (name, n)
+        assert elapsed.startswith("elapsed: ") and elapsed.endswith("s")
+        assert out.endswith("\n")
+
+
 def test_main_returns_the_exit_code_and_writes_stdout(capsys):
     argv = ["check", "catalog:sl2", "--json"]
     assert main(argv) == 0

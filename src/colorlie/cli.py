@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import sys
 import time
+from functools import cache
 
 from . import catalog
 from .derivations import (
@@ -84,6 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _cached_parser() -> argparse.ArgumentParser:
+    # built on first use and reused: parsing never changes the parser
+    return build_parser()
+
+
 def _load_target(target: str):
     if target.startswith("catalog:"):
         return catalog.get(target[len("catalog:"):])
@@ -138,7 +145,7 @@ def _cmd_invariants(a, args, report, lines):
 def _cmd_der(a, args, report, lines):
     space = n_derivation_space(a, args.n, max_n=args.max_n)
     blocks = []
-    for gamma, sub in space.blocks.items():
+    for gamma, sub in space.walk():
         basis = [
             [[format_scalar(c) for c in row] for row in
              GradedMap.from_block_vector(a, gamma, vec).matrix]
@@ -219,9 +226,8 @@ def _cmd_verify(a, args, report, lines):
 
 def run(argv) -> tuple[int, str]:
     """Dispatch a command line; returns (exit code, stdout text)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _cached_parser().parse_args(argv)
     except SystemExit as exc:
         return (exc.code if isinstance(exc.code, int) else 2), ""
 

@@ -44,6 +44,7 @@ import random
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .algebra import ColorAlgebra
@@ -125,7 +126,10 @@ class GradedMap:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.matrix)
+        # entries never written are the shared zero scalar, which tuple
+        # comparison passes by identity without calling __eq__
+        z = self.algebra.zero_scalar()
+        return self.matrix == ((z,) * self.algebra.dim,) * self.algebra.dim
 
     def block_vector(self) -> tuple:
         """Entries at this degree's block coordinates, in canonical order."""
@@ -182,11 +186,21 @@ def _ad_basis(a: ColorAlgebra) -> tuple:
     return maps
 
 
-class DerivationSpace:
-    """A per-degree direct sum of graded-map spaces; blocks cover all of the group.
+@lru_cache(maxsize=None)
+def _empty_block(conductor: int) -> Subspace:
+    # the zero space of ambient dimension 0, shared by every space of one conductor
+    return Subspace.zero(0, conductor)
 
-    ``blocks`` may leave out degrees; each one left out holds one shared zero
-    space of ambient dimension 0, as every degree off the support does.
+
+class DerivationSpace:
+    """A per-degree direct sum of graded-map spaces, held on the support only.
+
+    ``blocks`` holds one block per degree of the support (the keys of
+    ``ColorAlgebra.degree_table().blocks``), in group order; a support
+    degree the caller left out holds the zero space of ambient dimension 0.
+    Every other degree is answered by ``block`` with that same shared zero
+    space. ``walk()`` lists every degree of the group, in group order, for
+    the reports that list them all.
 
     The space owns its basis layout: ``basis_maps()`` lists the block bases
     degree by degree, and ``coordinates(D)`` gives D's coefficients in that
@@ -198,8 +212,8 @@ class DerivationSpace:
     __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_pair_brackets")
 
     def __init__(self, algebra: ColorAlgebra, n: int, blocks: dict):
-        empty = Subspace.zero(0, algebra.conductor)
-        blocks = {gamma: blocks.get(gamma, empty) for gamma in algebra.group.elements()}
+        empty = _empty_block(algebra.conductor)
+        blocks = {gamma: blocks.get(gamma, empty) for gamma in algebra.degree_table().blocks}
         # where each populated block's coefficients start in basis_maps() order
         offsets = {}
         total = 0
@@ -218,7 +232,23 @@ class DerivationSpace:
         raise AttributeError("DerivationSpace is immutable")
 
     def block(self, gamma: GroupElement) -> Subspace:
-        return self.blocks[gamma]
+        return self.blocks.get(gamma, _empty_block(self.algebra.conductor))
+
+    def walk(self):
+        """(gamma, block) for every degree of the group, in group order.
+
+        Merges the support blocks, which are in group order, into the group's
+        elements by residue vectors, so no degree is hashed.
+        """
+        empty = _empty_block(self.algebra.conductor)
+        support = iter(self.blocks.items())
+        head = next(support, None)
+        for gamma in self.algebra.group.elements():
+            if head is not None and head[0].residues == gamma.residues:
+                yield head
+                head = next(support, None)
+            else:
+                yield gamma, empty
 
     def basis_maps(self) -> list:
         """Every block-basis vector reassembled as a GradedMap, in canonical order."""
@@ -245,7 +275,7 @@ class DerivationSpace:
         return self.coordinates(D) is not None
 
     def __repr__(self):
-        dims = {tuple(g.residues): s.dim for g, s in self.blocks.items()}
+        dims = {gamma.residues: sub.dim for gamma, sub in self.walk()}
         return f"DerivationSpace(n={self.n}, dims={dims}, total={self.total_dim})"
 
 
@@ -561,7 +591,8 @@ def _pair_brackets(space: DerivationSpace) -> tuple:
 
     Only p <= q is bracketed: every bicharacter ``ColorAlgebra`` accepts has
     eps(a, b) eps(b, a) = 1, so [B_q, B_p] = -eps(deg B_q, deg B_p) [B_p, B_q],
-    and the two escape together.
+    and the two escape together. A zero bracket needs no solve: both entries
+    get one shared zero tuple.
     """
     grid = space._pair_brackets
     if grid is None:
@@ -569,9 +600,14 @@ def _pair_brackets(space: DerivationSpace) -> tuple:
         r = len(maps)
         grid = [[None] * r for _ in range(r)]
         eps = space.algebra.bichar.eps
+        zero = (space.algebra.zero_scalar(),) * r
         for p in range(r):
             for q in range(p, r):
-                coords = grid[p][q] = space.coordinates(map_bracket(maps[p], maps[q]))
+                bracket = map_bracket(maps[p], maps[q])
+                if bracket.is_zero():
+                    grid[p][q] = grid[q][p] = zero
+                    continue
+                coords = grid[p][q] = space.coordinates(bracket)
                 if coords is not None and q > p:
                     e = -eps(maps[q].degree, maps[p].degree)
                     grid[q][p] = tuple(e * c if c else c for c in coords)
@@ -616,8 +652,8 @@ def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAl
 def _compare_blocks(s: DerivationSpace, t: DerivationSpace) -> tuple:
     """Per degree, in group order: (residues, dim in s, dim in t, equal); and all equal."""
     rows = [
-        (list(gamma.residues), x.dim, t.blocks[gamma].dim, x == t.blocks[gamma])
-        for gamma, x in s.blocks.items()
+        (list(gamma.residues), x.dim, y.dim, x is y or x == y)
+        for (gamma, x), (_, y) in zip(s.walk(), t.walk())
     ]
     return rows, all(row[3] for row in rows)
 
@@ -926,7 +962,7 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
     nder = n_derivation_space(a, n, max_n=max_n)
     report = CentralizerReport(n=n)
     total = 0
-    for gamma, sub in nder.blocks.items():
+    for gamma, sub in nder.walk():
         r = sub.dim
         if r == 0:
             report.block_dims.append((list(gamma.residues), 0))

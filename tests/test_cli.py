@@ -2,11 +2,12 @@ import json
 import time
 from enum import IntEnum
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from colorlie import catalog
+from colorlie import catalog, cli
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
 from colorlie.cli import main, run
 from colorlie.errors import ParseError, ValidationError
@@ -15,6 +16,7 @@ from colorlie.fileio import json_text, parse_algebra, serialize_algebra
 from test_known_space import _jacobi_breaking_sl2
 
 ALL_NAMES = ("sl2", "heis3", "aff2", "abelian(3)", "abelian(0)", "colorSl2", "osp12")
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def test_round_trip_parse_of_serialized(tmp_path):
@@ -234,17 +236,47 @@ def _der_human_lines(report: dict) -> list:
     return lines
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
+@pytest.mark.parametrize("name", ALL_NAMES + ("cheis3z60.json",))
 def test_cli_der_human_output_matches_its_json_report(name):
+    # catalog entries, and a file graded by Z60 x Z60 (3,600 degrees)
+    target = str(DATA_DIR / name) if name.endswith(".json") else f"catalog:{name}"
     for n in ("2", "3"):
-        argv = ["der", f"catalog:{name}", "--n", n]
+        argv = ["der", target, "--n", n]
         code, out = run(argv)
         json_code, json_out = run(argv + ["--json"])
         assert code == json_code == 0
         *lines, elapsed = out.splitlines()
         assert lines == _der_human_lines(json.loads(json_out)), (name, n)
+        # one line per degree of the group
+        degrees = sum(line.startswith("degree ") for line in lines)
+        assert degrees == cli._load_target(target).group.size, (name, n)
         assert elapsed.startswith("elapsed: ") and elapsed.endswith("s")
         assert out.endswith("\n")
+    if name == "cheis3z60.json":
+        assert degrees == 3600
+
+
+def test_run_builds_the_parser_once(monkeypatch, capsys):
+    calls = []
+    original = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._cached_parser.cache_clear()
+    # a usage error on the freshly built parser, then again on the kept one
+    usage = ["der", "catalog:sl2", "--n", "two"]
+    assert run(usage) == (2, "")
+    fresh_err = capsys.readouterr().err
+    assert fresh_err.startswith("usage: colorlie der")
+    assert run(["check", "catalog:sl2", "--json"])[0] == 0
+    assert run(["der", "catalog:sl2", "--n", "3"])[0] == 0
+    assert run(["verify", "catalog:sl2", "--n", "2", "--part", "1"])[0] == 0
+    assert run(usage) == (2, "")
+    assert capsys.readouterr().err == fresh_err
+    assert len(calls) == 1
 
 
 def test_main_returns_the_exit_code_and_writes_stdout(capsys):

@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from colorlie import catalog
+from colorlie import catalog, cli, derivations
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
 from colorlie.cli import run
 from colorlie.derivations import (
@@ -33,9 +34,11 @@ from colorlie.errors import (
     NotClosed,
     PreconditionFailed,
 )
-from colorlie.fileio import serialize_algebra
+from colorlie.fileio import parse_algebra, serialize_algebra
 from colorlie.grading import Bicharacter, GradingGroup
 from colorlie.linalg import Subspace
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -110,11 +113,83 @@ def test_blocks_cover_the_group_with_zero_off_the_support():
     }
     assert len(support) == 7
     space = n_derivation_space(a, 2)
-    assert list(space.blocks) == a.group.elements()
-    for gamma, sub in space.blocks.items():
-        assert (sub.ambient_dim > 0) == (gamma in support), gamma
+    assert [gamma for gamma, _ in space.walk()] == a.group.elements()
+    for gamma in a.group.elements():
+        assert (space.block(gamma).ambient_dim > 0) == (gamma in support), gamma
     assert space.total_dim == 6
     assert all(is_n_derivation(a, D, 2) for D in space.basis_maps())
+
+
+def _shuffled(space):
+    # the same blocks handed over as a dict in a scrambled order
+    items = list(space.blocks.items())
+    random.Random(len(items)).shuffle(items)
+    return DerivationSpace(space.algebra, space.n, dict(items))
+
+
+@pytest.mark.parametrize("name", ("colorSl2z15", "cheis3z60"))
+def test_space_from_an_unordered_dict_walks_in_group_order(name, monkeypatch):
+    path = DATA_DIR / f"{name}.json"
+    a = parse_algebra(path.read_text(encoding="utf-8"))
+    space = n_derivation_space(a, 2)
+    shuffled = _shuffled(space)
+    assert list(shuffled.blocks) == list(a.degree_table().blocks)
+    assert list(shuffled.walk()) == list(space.walk())
+    assert [gamma for gamma, _ in shuffled.walk()] == a.group.elements()
+    assert repr(shuffled) == repr(space)
+    assert shuffled.basis_maps() == space.basis_maps()
+
+    argvs = (
+        ["der", str(path), "--n", "2", "--json"],
+        ["verify", str(path), "--n", "3", "--lemmas", "--json"],
+    )
+    expected = [run(argv) for argv in argvs]
+    real = derivations.n_derivation_space
+
+    def scrambled(*args, **kwargs):
+        return _shuffled(real(*args, **kwargs))
+
+    monkeypatch.setattr(derivations, "n_derivation_space", scrambled)
+    monkeypatch.setattr(cli, "n_derivation_space", scrambled)
+    assert [run(argv) for argv in argvs] == expected
+
+
+def _full_group_rows(s, t):
+    # the comparison as it was made over a dict covering the whole group
+    rows = []
+    for gamma in s.algebra.group.elements():
+        x, y = s.block(gamma), t.block(gamma)
+        rows.append((list(gamma.residues), x.dim, y.dim, x == y))
+    return rows, all(row[3] for row in rows)
+
+
+def test_compare_blocks_matches_the_full_group_comparison():
+    a = _color_heisenberg_z12()
+    m = a.conductor
+    der = n_derivation_space(a, 2)
+    populated = [g for g, sub in der.blocks.items() if sub.dim]
+    # the same algebra, with populated degrees dropped, zeroed or left out
+    spaces = [
+        der,
+        inner_derivation_space(a),
+        DerivationSpace(a, 2, {populated[0]: der.block(populated[0])}),
+        DerivationSpace(a, 2, {
+            gamma: Subspace.zero(sub.ambient_dim, m) for gamma, sub in der.blocks.items()
+        }),
+        DerivationSpace(a, 2, {}),
+    ]
+    # an abelian algebra on the same group whose degree table has another support
+    group = a.group
+    degrees = tuple(group.element(r) for r in ((2, 0), (0, 3), (5, 7)))
+    zeros = structure_constants_from_table(group, a.bichar, degrees, {}, 3)
+    b = ColorAlgebra(group, a.bichar, degrees, zeros, names=("u", "v", "w"))
+    assert set(b.degree_table().blocks) != set(a.degree_table().blocks)
+    spaces += [n_derivation_space(b, 2), DerivationSpace(b, 2, {})]
+    for s in spaces:
+        for t in spaces:
+            assert derivations._compare_blocks(s, t) == _full_group_rows(s, t)
+    assert not derivations._compare_blocks(der, spaces[2])[1]
+    assert derivations._compare_blocks(spaces[4], spaces[6])[1]
 
 
 def test_cli_der_lists_every_degree(tmp_path):

@@ -232,16 +232,22 @@ class ColorAlgebra:
     # -- axiom checking -------------------------------------------------------
 
     def grading_violations(self) -> list:
-        """Every (i, j, k) with c[i][j][k] nonzero but deg e_k != deg e_i + deg e_j."""
-        differences = self.degree_table().differences
-        d = self.dim
-        return [
-            (i, j, k)
-            for i in range(d)
-            for j in range(d)
-            for k in range(d)
-            if self.constants[i][j][k] and differences[k][j] != self.degrees[i]
-        ]
+        """Every (i, j, k) with c[i][j][k] nonzero but deg e_k != deg e_i + deg e_j.
+
+        The d^3 scan runs once per algebra; each call returns a fresh list.
+        """
+        found = self._cache.get("grading")
+        if found is None:
+            differences = self.degree_table().differences
+            d = self.dim
+            found = self._cache["grading"] = [
+                (i, j, k)
+                for i in range(d)
+                for j in range(d)
+                for k in range(d)
+                if self.constants[i][j][k] and differences[k][j] != self.degrees[i]
+            ]
+        return list(found)
 
     def check_axioms(self) -> AxiomReport:
         """Exhaustively verify grading support, eps-antisymmetry, eps-Jacobi.

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import io
 import json
+from functools import lru_cache
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .algebra import ColorAlgebra, structure_constants_from_table
 from .errors import ArityMismatch, ParseError, ValidationError
@@ -189,9 +192,16 @@ def json_text(obj) -> str:
     str, int, bool and None, escaping strings with the C
     ``encode_basestring_ascii``, and raises TypeError on any other type,
     subclasses of str and int included.
+
+    Dicts, and lists that hold containers, are streamed into one buffer.
+    Every item of such a list is rendered whole, a batch of items at a time
+    and value by value across the batch: dicts that share a key set fill
+    one template of their sorted keys, and the leaves of one type under a
+    run of lists are one ``str.join``. Each batch is one write, so the
+    buffer holds few pieces however long the list.
     """
     out = io.StringIO()
-    _write_json(obj, out.write, "\n")
+    _write(obj, out, "\n")
     return out.getvalue()
 
 
@@ -199,46 +209,99 @@ def json_text(obj) -> str:
 _LEAVES = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
+    bool: {False: "false", True: "true"}.__getitem__,
     type(None): lambda _: "null",
 }
 
+# list items rendered per batch: enough to share the per-batch work, few
+# enough that a long list is never held as text all at once
+_BATCH = 256
 
-def _write_json(obj, write, newline: str) -> None:
-    if isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
+
+def _write(obj, out, newline: str) -> None:
+    """Write obj at this indentation, streaming down to the list items."""
+    if isinstance(obj, dict) and obj:
+        _, pieces, values = _dict_template(frozenset(obj), newline)
         inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            write(sep + encode_basestring_ascii(key) + ": ")
-            leaf = _LEAVES.get(type(value))
-            if leaf is None:
-                _write_json(value, write, inner)
-            else:
-                write(leaf(value))
-            sep = "," + inner
-        write(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
+        for piece, value in zip(pieces, values(obj)):
+            out.write(piece)
+            _write(value, out, inner)
+        out.write(pieces[-1])
+    elif isinstance(obj, (list, tuple)) and not set(map(type, obj)) <= _LEAVES.keys():
         inner = newline + "  "
-        sep = "[" + inner
-        for item in obj:
-            leaf = _LEAVES.get(type(item))
-            if leaf is None:
-                write(sep)
-                _write_json(item, write, inner)
-            else:
-                write(sep + leaf(item))
-            sep = "," + inner
-        write(newline + "]")
-    elif type(obj) in _LEAVES:
-        write(_LEAVES[type(obj)](obj))
+        sep, comma = "[" + inner, "," + inner
+        for start in range(0, len(obj), _BATCH):
+            out.write(sep + comma.join(_texts(obj[start:start + _BATCH], inner)))
+            sep = comma
+        out.write(newline + "]")
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out.write(_texts((obj,), newline)[0])
 
+
+def _texts(objs, newline: str) -> list:
+    """The text of each of objs, values at the same indentation."""
+    types = set(map(type, objs))
+    if len(types) != 1:
+        return _grouped_texts(objs, newline, type)
+    kind = types.pop()
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        return list(map(leaf, objs))
+    inner = newline + "  "
+    if issubclass(kind, dict):
+        keysets = set(map(frozenset, objs))
+        if len(keysets) > 1:
+            return _grouped_texts(objs, newline, frozenset)
+        keys = keysets.pop()
+        if not keys:
+            return ["{}"] * len(objs)
+        template, _, values = _dict_template(keys, newline)
+        # one column of texts per key, then one template fill per dict
+        columns = [_texts(column, inner) for column in zip(*map(values, objs))]
+        return list(map(template.__mod__, zip(*columns)))
+    if issubclass(kind, (list, tuple)):
+        # the items of all the lists, rendered together, then cut back
+        lengths = list(map(len, objs))
+        items = iter(_texts(list(chain.from_iterable(objs)), inner))
+        joined = map(("," + inner).join, map(islice, repeat(items), lengths))
+        return [
+            f"[{inner}{text}{newline}]" if n else "[]"
+            for text, n in zip(joined, lengths)
+        ]
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _grouped_texts(objs, newline: str, group) -> list:
+    """The texts of objs, rendered together per value of group(obj)."""
+    members = {}
+    for i, obj in enumerate(objs):
+        members.setdefault(group(obj), []).append(i)
+    texts = [None] * len(objs)
+    for indices in members.values():
+        for i, text in zip(indices, _texts([objs[i] for i in indices], newline)):
+            texts[i] = text
+    return texts
+
+
+@lru_cache(maxsize=256)
+def _dict_template(keys: frozenset, newline: str) -> tuple:
+    """The fixed text of a dict with these keys at this indentation.
+
+    Returns a %-template of the whole dict, the pieces it is made of (the
+    text before each value, then the closing brace) and a getter of the
+    values in sorted key order. Algebra files give one key set per distinct
+    bracket result, hence the bound.
+    """
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    order = sorted(keys)
+    inner = newline + "  "
+    pieces = [
+        ("," if i else "{") + inner + encode_basestring_ascii(key) + ": "
+        for i, key in enumerate(order)
+    ]
+    pieces.append(newline + "}")
+    template = "%s".join(piece.replace("%", "%%") for piece in pieces)
+    values = itemgetter(*order) if len(order) > 1 else lambda d: (d[order[0]],)
+    return template, pieces, values

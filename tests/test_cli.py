@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from colorlie import catalog, cli
+from colorlie import catalog, cli, fileio
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
 from colorlie.cli import main, run
 from colorlie.errors import ParseError, ValidationError
@@ -65,6 +65,23 @@ def test_parse_rejects_wrong_degree_component():
     constants = structure_constants_from_table(a.group, a.bichar, a.degrees, table, a.dim)
     broken = ColorAlgebra(a.group, a.bichar, a.degrees, constants, names=a.names)
     assert err.value.location == broken.check_axioms().grading[0]
+
+
+def test_parsed_file_check_axioms_reuses_the_grading_scan(monkeypatch):
+    expected = catalog.get("osp12").check_axioms()
+    a = parse_algebra(serialize_algebra(catalog.get("osp12")))
+    # the grading scan is the only reader of the degree table on this path:
+    # the parser ran it, and check_axioms takes its result from there
+    monkeypatch.setattr(
+        ColorAlgebra, "degree_table", lambda self: pytest.fail("grading scanned twice")
+    )
+    report = a.check_axioms()
+    assert (report.grading, report.antisymmetry, report.jacobi) == (
+        expected.grading,
+        expected.antisymmetry,
+        expected.jacobi,
+    )
+    assert report.ok
 
 
 def test_parse_cross_checks_redundant_pairs():
@@ -367,11 +384,33 @@ def test_cli_machine_reports_are_deterministic():
         assert (code1, out1) == (code2, out2)
 
 
+# keys that a %-template or a str.format template would misread, and
+# keys that need escaping
+_json_keys = st.one_of(
+    st.text(),
+    st.sampled_from(["%", "%s", "%%d", "{", "{0}", "}", '"', "é", "\u2028", "a\\b"]),
+)
+
+
+def _same_key_set_dicts(children):
+    # dicts over one key set, each inserted in an order of its own
+    def dicts(keys):
+        one = st.permutations(keys).flatmap(
+            lambda order: st.tuples(*[children] * len(order)).map(
+                lambda values: dict(zip(order, values))
+            )
+        )
+        return st.lists(one, max_size=4)
+
+    return st.lists(_json_keys, unique=True, max_size=4).flatmap(dicts)
+
+
 def _json_values(children):
     return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(st.text(), children, max_size=4),
+        st.dictionaries(_json_keys, children, max_size=4),
+        _same_key_set_dicts(children),
     )
 
 
@@ -381,12 +420,43 @@ _json_leaves = st.one_of(
     st.integers(min_value=-(10**30), max_value=10**30),
     st.text(),  # any code point: non-ASCII, control characters, lone surrogates
     st.sampled_from(["", "é", "z^2 - 1/2", '"\\', "\u2028\U0001F600"]),
+    # runs of one leaf type, and int runs broken by bools: bool is not int
+    st.sampled_from(
+        [st.integers(-3, 3), st.booleans(), st.text(max_size=3), st.none()]
+    ).flatmap(lambda leaf: st.lists(leaf, max_size=5)),
+    st.lists(st.one_of(st.integers(0, 1), st.booleans()), max_size=5),
 )
 
 
 @given(st.recursive(_json_leaves, _json_values, max_leaves=30))
 def test_json_writer_matches_the_stdlib(obj):
     assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_the_stdlib_on_long_lists():
+    # longer than a batch of items, with the shapes of the per-degree reports
+    blocks = [
+        {
+            "degree": [i % 7, -i],
+            "dim": i % 3,
+            "equal": i % 5 == 0,
+            "basis_maps": [] if i % 4 else [[str(i), "0"], ["%", "é"]],
+        }
+        for i in range(700)
+    ]
+    mixed = [
+        [i, True] if i % 3 == 0 else {"a": [], "b": {"c": i}} if i % 3 == 1 else ()
+        for i in range(600)
+    ]
+    for obj in (blocks, {"blocks": blocks, "mixed": mixed}, [blocks, mixed]):
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_json_writer_template_cache_stays_bounded():
+    bound = fileio._dict_template.cache_info().maxsize
+    obj = [{f"k{i}": i, "x": [i]} for i in range(bound + 50)]
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert fileio._dict_template.cache_info().currsize <= bound
 
 
 @pytest.mark.parametrize(
@@ -400,6 +470,10 @@ def test_json_writer_matches_the_stdlib(obj):
         {"a": {"b": object()}},
         {1: 0},
         [IntEnum("E", "A").A],
+        # a non-str key in the second dict of a same-shape list
+        [{"a": 0, "b": 1}, {"a": 0, 1: 1}],
+        # a float after a run of ints
+        [0, 1, 2, 1.5],
     ],
 )
 def test_json_writer_rejects_other_types(obj):

@@ -17,11 +17,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 
 from .errors import DimensionMismatch, NonHomogeneous, TooFewArguments, ValidationError
 from .grading import Bicharacter, GradingGroup, GroupElement
 from .linalg import Subspace, _kernel_from_pairs
 from .scalars import CycloScalar, parse_scalar
+
+
+def per_algebra(fn):
+    """Keep fn(a, *args) in ``a._cache`` under (fn, *args); a call that raises keeps nothing.
+
+    The key holds the undecorated ``fn``, so it does not change when the
+    decorated name is rebound.
+    """
+
+    @wraps(fn)
+    def memo(a, *args):
+        key = (fn, *args)
+        if key not in a._cache:
+            a._cache[key] = fn(a, *args)
+        return a._cache[key]
+
+    return memo
 
 
 def _coerce_scalar(value, conductor: int) -> CycloScalar:
@@ -165,37 +183,32 @@ class ColorAlgebra:
         except NonHomogeneous:
             return False
 
+    @per_algebra
     def degree_table(self) -> DegreeTable:
-        """The cached degree table; the one place a coordinate gets its degree."""
-        table = self._cache.get("degree_table")
-        if table is None:
-            differences = tuple(
-                tuple(dk - dj for dj in self.degrees) for dk in self.degrees
-            )
-            blocks = {}
-            for k, row in enumerate(differences):
-                for j, gamma in enumerate(row):
-                    blocks.setdefault(gamma, []).append((k, j))
-            ordered = sorted(blocks, key=lambda gamma: gamma.residues)
-            blocks = {gamma: tuple(blocks[gamma]) for gamma in ordered}
-            table = self._cache["degree_table"] = DegreeTable(differences, blocks)
-        return table
+        """The degree table; the one place a coordinate gets its degree."""
+        differences = tuple(
+            tuple(dk - dj for dj in self.degrees) for dk in self.degrees
+        )
+        blocks = {}
+        for k, row in enumerate(differences):
+            for j, gamma in enumerate(row):
+                blocks.setdefault(gamma, []).append((k, j))
+        ordered = sorted(blocks, key=lambda gamma: gamma.residues)
+        blocks = {gamma: tuple(blocks[gamma]) for gamma in ordered}
+        return DegreeTable(differences, blocks)
 
     # -- brackets -----------------------------------------------------------
 
+    @per_algebra
     def _nonzero_constants(self):
         # nz[i][j] = tuple of (k, c[i][j][k]) with c nonzero
-        nz = self._cache.get("nz")
-        if nz is None:
-            nz = tuple(
-                tuple(
-                    tuple((k, c) for k, c in enumerate(row) if c)
-                    for row in plane
-                )
-                for plane in self.constants
+        return tuple(
+            tuple(
+                tuple((k, c) for k, c in enumerate(row) if c)
+                for row in plane
             )
-            self._cache["nz"] = nz
-        return nz
+            for plane in self.constants
+        )
 
     def bracket_of_basis(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as a coefficient vector."""
@@ -234,20 +247,21 @@ class ColorAlgebra:
     def grading_violations(self) -> list:
         """Every (i, j, k) with c[i][j][k] nonzero but deg e_k != deg e_i + deg e_j.
 
-        The d^3 scan runs once per algebra; each call returns a fresh list.
+        The scan walks the nonzero constants once per algebra; each call
+        returns a fresh list.
         """
-        found = self._cache.get("grading")
-        if found is None:
-            differences = self.degree_table().differences
-            d = self.dim
-            found = self._cache["grading"] = [
-                (i, j, k)
-                for i in range(d)
-                for j in range(d)
-                for k in range(d)
-                if self.constants[i][j][k] and differences[k][j] != self.degrees[i]
-            ]
-        return list(found)
+        return list(self._grading_scan())
+
+    @per_algebra
+    def _grading_scan(self) -> tuple:
+        differences = self.degree_table().differences
+        return tuple(
+            (i, j, k)
+            for i, plane in enumerate(self._nonzero_constants())
+            for j, pairs in enumerate(plane)
+            for k, _ in pairs
+            if differences[k][j] != self.degrees[i]
+        )
 
     def check_axioms(self) -> AxiomReport:
         """Exhaustively verify grading support, eps-antisymmetry, eps-Jacobi.
@@ -257,13 +271,12 @@ class ColorAlgebra:
         rotations has a nonzero term holds trivially. The check runs once per
         algebra; each call returns a fresh copy of the report.
         """
-        report = self._cache.get("axioms")
-        if report is None:
-            report = self._cache["axioms"] = self._axiom_report()
+        report = self._axiom_report()
         return AxiomReport(
             list(report.grading), list(report.antisymmetry), list(report.jacobi)
         )
 
+    @per_algebra
     def _axiom_report(self) -> AxiomReport:
         report = AxiomReport(grading=self.grading_violations())
         d = self.dim
@@ -319,29 +332,23 @@ class ColorAlgebra:
 
     # -- classical subspaces ---------------------------------------------------
 
+    @per_algebra
     def derived_subalgebra(self) -> Subspace:
         """Span of all brackets of basis pairs."""
-        cached = self._cache.get("derived")
-        if cached is None:
-            rows = [
-                self.bracket_of_basis(i, j)
-                for i in range(self.dim)
-                for j in range(self.dim)
-            ]
-            cached = Subspace.from_rows(self.dim, rows, self.conductor)
-            self._cache["derived"] = cached
-        return cached
+        rows = [
+            self.bracket_of_basis(i, j)
+            for i in range(self.dim)
+            for j in range(self.dim)
+        ]
+        return Subspace.from_rows(self.dim, rows, self.conductor)
 
     def is_perfect(self) -> bool:
         return self.derived_subalgebra().dim == self.dim
 
+    @per_algebra
     def center(self) -> Subspace:
         """Kernel of v -> ([v, e_j])_j."""
-        cached = self._cache.get("center")
-        if cached is None:
-            cached = self.centralizer([self.basis_vector(j) for j in range(self.dim)])
-            self._cache["center"] = cached
-        return cached
+        return self.centralizer([self.basis_vector(j) for j in range(self.dim)])
 
     def centralizer(self, vectors) -> Subspace:
         """Kernel of v -> ([v, s])_{s in vectors}; empty set gives the full space.
@@ -403,17 +410,13 @@ def structure_constants_from_table(group, bichar, degrees, table, dim):
     m = group.exponent
     zero = CycloScalar.zero(m)
     grid = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    seen = set()
     for (i, j), result in table.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValidationError(f"bracket indices ({i}, {j}) out of range", (i, j))
-        if (i, j) in seen:
-            raise ValidationError(f"bracket ({i}, {j}) listed twice", (i, j))
-        seen.add((i, j))
         for k, c in result.items():
             grid[i][j][k] = _coerce_scalar(c, m)
-    for (i, j) in list(seen):
-        if (j, i) in seen:
+    for (i, j) in table:
+        if (j, i) in table:
             if i < j:
                 e = bichar.eps(degrees[j], degrees[i])
                 for k in range(dim):

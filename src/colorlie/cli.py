@@ -276,7 +276,7 @@ def run(argv) -> tuple[int, str]:
     }
     try:
         code = handlers[args.command](a, args, report, lines)
-    except (BadArity, ColorLieError) as exc:
+    except ColorLieError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, ""
     return code, _emit(report, lines, args.json, started)

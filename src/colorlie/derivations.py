@@ -44,10 +44,10 @@ import random
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import product
 
-from .algebra import ColorAlgebra
+from .algebra import ColorAlgebra, per_algebra
 from .errors import (
     AlgebraMismatch,
     BadArity,
@@ -178,15 +178,13 @@ def _ad_grid(a: ColorAlgebra, x) -> list:
     return grid
 
 
+@per_algebra
 def _ad_basis(a: ColorAlgebra) -> tuple:
-    """ad(e_i) for every basis index i, built once per algebra."""
-    maps = a._cache.get("ad_basis")
-    if maps is None:
-        maps = a._cache["ad_basis"] = tuple(ad(a, a.basis_vector(i)) for i in range(a.dim))
-    return maps
+    """ad(e_i) for every basis index i."""
+    return tuple(ad(a, a.basis_vector(i)) for i in range(a.dim))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _empty_block(conductor: int) -> Subspace:
     # the zero space of ambient dimension 0, shared by every space of one conductor
     return Subspace.zero(0, conductor)
@@ -279,14 +277,11 @@ class DerivationSpace:
         return f"DerivationSpace(n={self.n}, dims={dims}, total={self.total_dim})"
 
 
+@per_algebra
 def _basis_bracket_table(a: ColorAlgebra, n: int) -> tuple:
     """Nonzero left-normed brackets of basis n-tuples in lexicographic order, as
     (k, c) pairs in increasing k, and ``ahead[p]``: the j with p + (j,) a prefix
     of a key. Only nonzero prefixes are extended; at most d^n keys are held."""
-    key = ("bracket_table", n)
-    cached = a._cache.get(key)
-    if cached is not None:
-        return cached
     d = a.dim
     one = a.one_scalar()
     nz = a._nonzero_constants()
@@ -308,8 +303,7 @@ def _basis_bracket_table(a: ColorAlgebra, n: int) -> tuple:
     for t in level:
         for i in range(n):
             ahead.setdefault(t[:i], set()).add(t[i])
-    cached = a._cache[key] = (level, ahead)
-    return cached
+    return level, ahead
 
 
 def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -> DerivationSpace:
@@ -338,11 +332,12 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
             f"n = {n} exceeds the cost cap max_n = {max_n}; "
             f"override max_n explicitly to proceed"
         )
-    key = ("nder", n)
-    cached = a._cache.get(key)
-    if cached is not None:
-        return cached
+    return _n_derivation_space(a, n)
 
+
+@per_algebra
+def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
+    # the kernel route of n_derivation_space, past its checks on n
     d = a.dim
     m = a.conductor
     table, ahead = _basis_bracket_table(a, n)
@@ -410,10 +405,7 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
         vectors = [_pairs(row) for row in inner.basis.entries]
         vectors += ([(free[col], c) for col, c in _pairs(row)] for row in rest.basis.entries)
         blocks[gamma] = Subspace._from_pairs(len(coords), vectors, m)
-
-    space = DerivationSpace(a, n, blocks)
-    a._cache[key] = space
-    return space
+    return DerivationSpace(a, n, blocks)
 
 
 def is_n_derivation(a: ColorAlgebra, D: GradedMap, n: int) -> bool:
@@ -446,19 +438,15 @@ def is_n_derivation(a: ColorAlgebra, D: GradedMap, n: int) -> bool:
     return True
 
 
+@per_algebra
 def inner_derivation_space(a: ColorAlgebra) -> DerivationSpace:
     """Image of x -> ad(x), organized per degree; dimension is d - dim Z."""
-    cached = a._cache.get("inner")
-    if cached is not None:
-        return cached
     m = a.conductor
     blocks = {}
     for gamma, coords in a.degree_table().blocks.items():
         rows = [x.block_vector() for x in _ad_basis(a) if x.degree == gamma]
         blocks[gamma] = Subspace.from_rows(len(coords), rows, m)
-    space = DerivationSpace(a, 2, blocks)
-    a._cache["inner"] = space
-    return space
+    return DerivationSpace(a, 2, blocks)
 
 
 def _columns(D: GradedMap) -> list:
@@ -499,6 +487,7 @@ def map_bracket(d1: GradedMap, d2: GradedMap) -> GradedMap:
     return GradedMap._unchecked(a, d1.degree + d2.degree, grid)
 
 
+@per_algebra
 def _ad_factor(a: ColorAlgebra) -> tuple:
     """Coordinates (k, l) on which y -> ad(y) is invertible, and its inverse there.
 
@@ -508,20 +497,16 @@ def _ad_factor(a: ColorAlgebra) -> tuple:
     y_i = sum_s M[s][i] T[P_s]. A pivot in the e_i part means some
     combination of the ad(e_i) vanishes: the center is nonzero.
     """
-    cached = a._cache.get("ad_factor")
-    if cached is None:
-        d = a.dim
-        rows = [
-            [c for row in x.matrix for c in row] + list(a.basis_vector(i))
-            for i, x in enumerate(_ad_basis(a))
-        ]
-        span = Subspace.from_rows(d * d + d, rows, a.conductor)
-        pivots = span.pivots
-        if pivots and pivots[-1] >= d * d:
-            raise PreconditionFailed("ad is not injective: the center is nonzero")
-        cached = ([divmod(p, d) for p in pivots], [row[d * d:] for row in span.basis.entries])
-        a._cache["ad_factor"] = cached
-    return cached
+    d = a.dim
+    rows = [
+        [c for row in x.matrix for c in row] + list(a.basis_vector(i))
+        for i, x in enumerate(_ad_basis(a))
+    ]
+    span = Subspace.from_rows(d * d + d, rows, a.conductor)
+    pivots = span.pivots
+    if pivots and pivots[-1] >= d * d:
+        raise PreconditionFailed("ad is not injective: the center is nonzero")
+    return [divmod(p, d) for p in pivots], [row[d * d:] for row in span.basis.entries]
 
 
 def _solve_ad_preimage(a: ColorAlgebra, target: GradedMap) -> tuple:

@@ -181,15 +181,19 @@ class MatrixExact:
 
 
 class Subspace:
-    """A subspace of Q(zeta_m)^n held as its unique RREF basis, one vector per row."""
+    """A subspace of Q(zeta_m)^n held as its unique RREF basis, one vector per row.
 
-    __slots__ = ("ambient_dim", "conductor", "basis", "_pivots")
+    ``pivots`` lists the pivot column of each basis row, in order, as the
+    elimination that built the basis found them.
+    """
 
-    def __init__(self, ambient_dim: int, basis: MatrixExact):
+    __slots__ = ("ambient_dim", "conductor", "basis", "pivots")
+
+    def __init__(self, ambient_dim: int, basis: MatrixExact, pivots):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "conductor", basis.conductor)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivots", None)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -201,28 +205,22 @@ class Subspace:
     @staticmethod
     def _from_pairs(ambient_dim: int, rows, conductor: int) -> "Subspace":
         # the span of sparse rows
-        reduced, _ = _rref_rows(rows, ambient_dim)
-        return Subspace(ambient_dim, MatrixExact(conductor, reduced, cols=ambient_dim))
+        reduced, pivots = _rref_rows(rows, ambient_dim)
+        return Subspace(ambient_dim, MatrixExact(conductor, reduced, cols=ambient_dim), pivots)
 
     @staticmethod
     def zero(ambient_dim: int, conductor: int = 1) -> "Subspace":
-        return Subspace(ambient_dim, MatrixExact(conductor, [], cols=ambient_dim))
+        return Subspace(ambient_dim, MatrixExact(conductor, [], cols=ambient_dim), [])
 
     @staticmethod
     def full(ambient_dim: int, conductor: int = 1) -> "Subspace":
-        return Subspace(ambient_dim, MatrixExact.identity(ambient_dim, conductor))
+        return Subspace(
+            ambient_dim, MatrixExact.identity(ambient_dim, conductor), range(ambient_dim)
+        )
 
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    @property
-    def pivots(self) -> list:
-        """The pivot column of each basis row, in order; found once per subspace."""
-        if self._pivots is None:
-            pivots = [next(i for i, a in enumerate(row) if a) for row in self.basis.entries]
-            object.__setattr__(self, "_pivots", pivots)
-        return self._pivots
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from colorlie.errors import (
     TooFewArguments,
     ValidationError,
 )
+from colorlie.fileio import serialize_algebra
 from colorlie.grading import Bicharacter, GradingGroup
 from colorlie.linalg import MatrixExact, Subspace
 from colorlie.scalars import CycloScalar
@@ -322,8 +324,52 @@ def test_axiom_report_matches_reference_loop(algebras):
         assert not report.grading and not report.antisymmetry and report.jacobi
 
 
+def _misgraded_color_sl2():
+    # colorSl2 with [x, y] pointed at x, the algebra the parser rejects
+    a = catalog.get("colorSl2")
+    doc = json.loads(serialize_algebra(a))
+    doc["brackets"][0]["result"] = {"x": "1"}
+    index = {name: i for i, name in enumerate(a.names)}
+    table = {
+        (index[b["left"]], index[b["right"]]): {index[k]: v for k, v in b["result"].items()}
+        for b in doc["brackets"]
+    }
+    constants = structure_constants_from_table(a.group, a.bichar, a.degrees, table, a.dim)
+    return ColorAlgebra(a.group, a.bichar, a.degrees, constants, names=a.names)
+
+
+def test_grading_scan_equals_the_brute_force_scan():
+    from perfbench.algebras import sl
+
+    cases = [catalog.get(name.replace("(N)", "(3)")) for name in catalog.names()]
+    cases += [sl(4), _misgraded_color_sl2()]
+    for a in cases:
+        d = a.dim
+        brute = [
+            (i, j, k)
+            for i, j, k in product(range(d), repeat=3)
+            if a.constants[i][j][k] and a.degrees[k] != a.degrees[i] + a.degrees[j]
+        ]
+        assert a.grading_violations() == brute, a
+    assert cases[-1].grading_violations()
+
+
 def test_axiom_report_is_cached_and_copied(algebras):
     a = algebras["osp12"]
     first = a.check_axioms()
     first.jacobi.append((0, 0, 0))
     assert a.check_axioms().ok
+
+
+def test_grading_scan_and_axiom_report_are_copied_when_they_find_something():
+    a = _misgraded_color_sl2()
+    violations = a.grading_violations()
+    report = a.check_axioms()
+    expected = (list(violations), list(report.antisymmetry), list(report.jacobi))
+    assert violations and report.grading == violations
+    violations.append((0, 0, 0))
+    report.grading.clear()
+    report.antisymmetry.append((0, 0))
+    again = a.check_axioms()
+    assert a.grading_violations() == expected[0]
+    assert (again.grading, again.antisymmetry, again.jacobi) == expected

@@ -113,6 +113,19 @@ def test_parse_rejects_invalid_bicharacter(tmp_path, capsys):
     assert err.endswith(" (at bicharacter)\n")
 
 
+def test_cli_rejects_a_bracket_listed_twice(tmp_path, capsys):
+    doc = json.loads(serialize_algebra(catalog.get("sl2")))
+    doc["brackets"].append(dict(doc["brackets"][0]))
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", str(path)]) == (2, "")
+    left, right = doc["brackets"][0]["left"], doc["brackets"][0]["right"]
+    last = len(doc["brackets"]) - 1
+    assert capsys.readouterr().err == (
+        f"error: bracket [{left}, {right}] listed twice (at brackets[{last}])\n"
+    )
+
+
 def test_cli_check_catalog():
     code, out = run(["check", "catalog:sl2"])
     assert code == 0

@@ -497,3 +497,43 @@ def test_injectivity_of_ad_on_centerless(algebras):
     for name in ("sl2", "colorSl2", "osp12"):
         a = algebras[name]
         assert inner_derivation_space(a).total_dim == a.dim, name
+
+
+def test_per_algebra_memo_returns_the_same_object():
+    base = catalog.get("sl2")
+    a = ColorAlgebra(base.group, base.bichar, base.degrees, base.constants)
+    assert not a._cache
+    calls = [
+        a.degree_table,
+        a._nonzero_constants,
+        a._grading_scan,
+        a._axiom_report,
+        a.derived_subalgebra,
+        a.center,
+        lambda: derivations._ad_basis(a),
+        lambda: derivations._basis_bracket_table(a, 2),
+        lambda: inner_derivation_space(a),
+        lambda: derivations._ad_factor(a),
+        lambda: n_derivation_space(a, 2),
+    ]
+    for call in calls:
+        assert call() is call()
+    # n is part of the key
+    assert derivations._basis_bracket_table(a, 3) is not derivations._basis_bracket_table(a, 2)
+    assert n_derivation_space(a, 3) is not n_derivation_space(a, 2)
+    assert n_derivation_space(a, 3).n == 3
+    # the checks on n run on every call, cached space or not
+    with pytest.raises(BadArity):
+        n_derivation_space(a, 3, max_n=2)
+    with pytest.raises(BadArity):
+        n_derivation_space(a, 1)
+
+
+def test_a_raising_memo_call_keeps_nothing():
+    a = catalog.get("heis3")
+    derivations._ad_basis(a)
+    before = set(a._cache)
+    for _ in range(2):
+        with pytest.raises(PreconditionFailed):
+            derivations._ad_factor(a)
+    assert set(a._cache) == before

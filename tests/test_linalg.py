@@ -275,3 +275,24 @@ def test_sparse_coordinates_equal_dense_reference(system, data):
         unit = [CycloScalar.zero(m)] * cols
         unit[f] = CycloScalar.one(m)
         assert space.coordinates_of(unit) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_systems(), st.data())
+def test_subspace_pivots_are_the_leading_columns(system, data):
+    m, cols, rows = system
+    split = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    s = Subspace.from_rows(cols, rows[:split], m)
+    t = Subspace.from_rows(cols, rows[split:], m)
+    spaces = (
+        s,
+        t,
+        kernel_from_rows(rows, cols, m),
+        s.sum(t),
+        s.intersect(t),
+        Subspace.zero(cols, m),
+        Subspace.full(cols, m),
+    )
+    for space in spaces:
+        leading = [next(j for j, a in enumerate(row) if a) for row in space.basis.entries]
+        assert list(space.pivots) == leading

@@ -19,7 +19,7 @@ Two independent routes exist on purpose: ``n_derivation_space`` assembles
 one linear system per degree and takes its kernel, while
 ``is_n_derivation`` evaluates the defining identity by brute force on
 every basis tuple. They share no assembly code and are cross-checked in
-the test suite.
+the test suite. The lemmas read the kernel route.
 
 The kernel route reads basis brackets from a table of the nonzero ones,
 as (k, c) pairs, and builds rows only for the tuples at most one free swap
@@ -27,11 +27,8 @@ from a nonzero bracket, so its rows scale with those: a perfect algebra
 still pays for nearly all d^n, a nilpotent one for few. It twists the i-th
 term by zeta_m^(w[t_1] + .. + w[t_{i-1}]), w[j] being the exponent of
 eps(gamma, deg e_j); a bicharacter valid on the group, as ``ColorAlgebra``
-requires, is biadditive mod m. It uses that Inn <= Der <= nDer in every
-degree of a Lie color algebra: when the axiom check passes, the inner block
-is taken as known and only its complement is solved for, and elimination
-stops once that system reaches full rank. Input failing the check streams
-every row.
+requires, is biadditive mod m. Where the axiom check passes, the inner
+block is taken as known (see ``n_derivation_space``).
 
 Constraint rows are ordered lexicographically over
 (degree, x1..xn, output coordinate); together with canonical echelon
@@ -203,11 +200,11 @@ class DerivationSpace:
     The space owns its basis layout: ``basis_maps()`` lists the block bases
     degree by degree, and ``coordinates(D)`` gives D's coefficients in that
     order, or None when D lies outside the space. The brackets of pairs of
-    basis maps, in those coordinates, are built once and kept
-    (``_pair_brackets``).
+    basis maps, in those coordinates, and the [B_p, ad e_i] are built once
+    and kept (``_pair_brackets``, ``_ad_table``).
     """
 
-    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_pair_brackets")
+    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_pair_brackets", "_ad_table")
 
     def __init__(self, algebra: ColorAlgebra, n: int, blocks: dict):
         empty = _empty_block(algebra.conductor)
@@ -225,6 +222,7 @@ class DerivationSpace:
         object.__setattr__(self, "total_dim", total)
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_pair_brackets", None)
+        object.__setattr__(self, "_ad_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DerivationSpace is immutable")
@@ -538,16 +536,13 @@ def _ad_preimages(a: ColorAlgebra, targets) -> list:
     Targets are taken one at a time, so none is built after a failing
     column; NoSolution names that column.
     """
-    z = a.zero_scalar()
-    grid = [[z] * a.dim for _ in range(a.dim)]
+    columns = []
     for j, target in enumerate(targets):
         try:
-            y = _solve_ad_preimage(a, target)
+            columns.append(_solve_ad_preimage(a, target))
         except NoSolution as exc:
             raise NoSolution(f"the target for e_{j} fell outside ad(L)") from exc
-        for k in range(a.dim):
-            grid[k][j] = y[k]
-    return grid
+    return [list(row) for row in zip(*columns)]
 
 
 def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:
@@ -599,6 +594,36 @@ def _pair_brackets(space: DerivationSpace) -> tuple:
         grid = tuple(map(tuple, grid))
         object.__setattr__(space, "_pair_brackets", grid)
     return grid
+
+
+def _ad_table(space: DerivationSpace) -> tuple:
+    """(B_p by p, [B_p, ad e_i] by (p, i), compat misses by p), kept on the space and
+    filled one entry at a time, so a reader that stops early builds only what it reads."""
+    if space._ad_table is None:
+        maps = space.basis_maps()
+        object.__setattr__(space, "_ad_table", (maps, [[None] * space.algebra.dim for _ in maps], {}))
+    return space._ad_table
+
+
+def _ad_bracket(space: DerivationSpace, p: int, i: int) -> GradedMap:
+    maps, grid, _ = _ad_table(space)
+    if grid[p][i] is None:
+        grid[p][i] = map_bracket(maps[p], _ad_basis(space.algebra)[i])
+    return grid[p][i]
+
+
+def _compat_misses(space: DerivationSpace, p: int) -> tuple:
+    """The i with [B_p, ad e_i] != ad(B_p(e_i)). Where ad is injective (a zero center)
+    there are none exactly when delta(B_p) = B_p: ad(delta(B_p)(e_i)) = [B_p, ad e_i]."""
+    a = space.algebra
+    maps, _, misses = _ad_table(space)
+    if p not in misses:
+        # column i of B_p is B_p(e_i); where the grids agree, so do the degrees
+        misses[p] = tuple(
+            i for i, y in enumerate(zip(*maps[p].matrix))
+            if tuple(map(tuple, _ad_grid(a, y))) != _ad_bracket(space, p, i).matrix
+        )
+    return misses[p]
 
 
 def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAlgebra:
@@ -654,7 +679,7 @@ class TheoremPart1Report:
     equal: bool
     der_total: int
     nder_total: int
-    delta_fixed_point: bool | None  # only evaluated on theorem instances
+    delta_fixed_point: bool | None  # only evaluated on theorem instances that pass the axioms
 
     @property
     def preconditions_hold(self) -> bool:
@@ -662,9 +687,7 @@ class TheoremPart1Report:
 
     @property
     def passed(self) -> bool:
-        if not self.preconditions_hold:
-            return False
-        return self.equal and self.delta_fixed_point is not False
+        return self.equal and self.delta_fixed_point is True
 
     def to_jsonable(self) -> dict:
         return {
@@ -686,9 +709,9 @@ class TheoremPart1Report:
 def verify_nder_equals_der(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -> TheoremPart1Report:
     """Compare nDer and Der per degree; on perfect centerless algebras they must agree.
 
-    When the hypotheses fail the observed relationship is recorded with no
-    claim attached. On theorem instances the report also confirms the
-    fixed-point property delta(D) = D for every block basis map.
+    When the hypotheses or the axiom check fail the observed relationship is
+    recorded with no claim attached. On theorem instances the report confirms
+    delta(D) = D on every basis map, as D having no ``_compat_misses``.
     """
     der = n_derivation_space(a, 2, max_n=max_n)
     nder = n_derivation_space(a, n, max_n=max_n)
@@ -696,10 +719,9 @@ def verify_nder_equals_der(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_
     is_perfect = a.is_perfect()
     center_dim = a.center().dim
     fixed = None
-    if is_perfect and center_dim == 0:
-        fixed = all(
-            delta(a, D, n) == D for D in nder.basis_maps()
-        )
+    if is_perfect and center_dim == 0 and a.check_axioms().ok:
+        maps = _ad_table(nder)[0]
+        fixed = all(not _compat_misses(nder, p) or delta(a, D, n) == D for p, D in enumerate(maps))
     return TheoremPart1Report(
         n=n,
         is_perfect=is_perfect,
@@ -913,12 +935,11 @@ def verify_inner_ideal(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
         raise PreconditionFailed("inner-ideal check needs a perfect algebra")
     nder = n_derivation_space(a, n, max_n=max_n)
     inner = inner_derivation_space(a)
-    report = InnerIdealReport(n=n)
-    for p, D in enumerate(nder.basis_maps()):
-        for i, x in enumerate(_ad_basis(a)):
-            if not inner.contains_map(map_bracket(D, x)):
-                report.failures.append((p, i))
-    return report
+    failures = [
+        (p, i) for p in range(nder.total_dim) for i in range(a.dim)
+        if not inner.contains_map(_ad_bracket(nder, p, i))
+    ]
+    return InnerIdealReport(n=n, failures=failures)
 
 
 @dataclass
@@ -945,29 +966,22 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
     if not a.is_perfect():
         raise PreconditionFailed("centralizer check needs a perfect algebra")
     nder = n_derivation_space(a, n, max_n=max_n)
-    report = CentralizerReport(n=n)
-    total = 0
+    dims = []
     for gamma, sub in nder.walk():
-        r = sub.dim
-        if r == 0:
-            report.block_dims.append((list(gamma.residues), 0))
-            continue
-        basis = [
-            GradedMap.from_block_vector(a, gamma, row) for row in sub.basis.entries
-        ]
-        # one ad(e_j) at a time, so no bracket is built once the rows reach rank r
-        brackets = ([map_bracket(B, x) for B in basis] for x in _ad_basis(a))
-        rows = (
-            [B.matrix[k][l] for B in bs]
-            for bs in brackets
-            for k in range(a.dim)
-            for l in range(a.dim)
-        )
-        dim = kernel_from_rows(rows, r, a.conductor).dim
-        report.block_dims.append((list(gamma.residues), dim))
-        total += dim
-    report.total_dim = total
-    return report
+        r = dim = sub.dim
+        if r:
+            start = nder._offsets[gamma]
+            # one ad(e_j) at a time, so no bracket is built once the rows reach rank r
+            brackets = ([_ad_bracket(nder, p, j) for p in range(start, start + r)] for j in range(a.dim))
+            rows = (
+                [B.matrix[k][l] for B in bs]
+                for bs in brackets
+                for k in range(a.dim)
+                for l in range(a.dim)
+            )
+            dim = kernel_from_rows(rows, r, a.conductor).dim
+        dims.append((list(gamma.residues), dim))
+    return CentralizerReport(n, dims, sum(dim for _, dim in dims))
 
 
 @dataclass
@@ -984,11 +998,12 @@ def verify_delta_membership(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     if not a.is_perfect() or a.center().dim != 0:
         raise PreconditionFailed("delta membership needs a perfect centerless algebra")
     nder = n_derivation_space(a, n, max_n=max_n)
-    report = DeltaMembershipReport(n=n)
-    for idx, D in enumerate(nder.basis_maps()):
-        if not is_n_derivation(a, delta(a, D, n), n - 1):
-            report.failures.append(idx)
-    return report
+    lower = n_derivation_space(a, n - 1, max_n=max_n)
+    failures = [
+        p for p, D in enumerate(_ad_table(nder)[0])
+        if not lower.contains_map(delta(a, D, n) if _compat_misses(nder, p) else D)
+    ]
+    return DeltaMembershipReport(n=n, failures=failures)
 
 
 @dataclass
@@ -1000,9 +1015,4 @@ class AdCompatReport(_LemmaReport):
 
 def verify_ad_compat(a: ColorAlgebra, *, max_n: int = DEFAULT_MAX_N) -> AdCompatReport:
     der = n_derivation_space(a, 2, max_n=max_n)
-    report = AdCompatReport()
-    for p, D in enumerate(der.basis_maps()):
-        for i, x in enumerate(_ad_basis(a)):
-            if map_bracket(D, x) != ad(a, D.apply(a.basis_vector(i))):
-                report.failures.append((p, i))
-    return report
+    return AdCompatReport([(p, i) for p in range(der.total_dim) for i in _compat_misses(der, p)])

@@ -1,0 +1,367 @@
+"""The table of [B_p, ad e_i] that the verify routines share, against the
+per-call loops it replaced.
+
+Each ``DerivationSpace`` keeps one lazily filled table: entry (p, i) is
+``map_bracket(B_p, ad e_i)``, and for each p the compat misses, the i where
+that bracket differs from ``ad(B_p(e_i))``. Part 1's fixed point, the
+inner-ideal, centralizer, delta-membership and ad-compat lemmas read it.
+The ``_reference_*`` functions below are the loops those routines ran
+before, kept here only: every report must equal theirs, on the catalog, on
+sl(3), and on hand-built spaces whose basis holds non-derivations. Delta
+membership now reads the kernel route ``n_derivation_space(a, n - 1)``;
+the brute-force oracle ``is_n_derivation`` checks its verdicts.
+"""
+
+import pytest
+
+from colorlie import catalog, derivations
+from colorlie.derivations import (
+    AdCompatReport,
+    CentralizerReport,
+    DeltaMembershipReport,
+    DerivationSpace,
+    GradedMap,
+    InnerIdealReport,
+    TheoremPart1Report,
+    _ad_basis,
+    _ad_bracket,
+    _compare_blocks,
+    _compat_misses,
+    ad,
+    block_coordinates,
+    delta,
+    inner_derivation_space,
+    is_n_derivation,
+    map_bracket,
+    verify_ad_compat,
+    verify_centralizer_trivial,
+    verify_delta_membership,
+    verify_inner_ideal,
+    verify_nder_equals_der,
+)
+from colorlie.errors import BadArity, NoSolution, PreconditionFailed
+from colorlie.linalg import Subspace, kernel_from_rows
+
+ENTRIES = ("sl2", "heis3", "aff2", "colorSl2", "osp12", "abelian(2)", "abelian(3)")
+PERFECT = ("sl2", "colorSl2", "osp12")
+
+
+def _load(name):
+    if name == "sl3":
+        from perfbench.algebras import sl
+
+        return sl(3)
+    return catalog.get(name)
+
+
+# -- the loops the routines ran before the table -----------------------------
+
+
+def _reference_part1(a, n):
+    der = derivations.n_derivation_space(a, 2)
+    nder = derivations.n_derivation_space(a, n)
+    blocks, equal = _compare_blocks(der, nder)
+    is_perfect = a.is_perfect()
+    center_dim = a.center().dim
+    fixed = None
+    if is_perfect and center_dim == 0 and a.check_axioms().ok:
+        fixed = all(delta(a, D, n) == D for D in nder.basis_maps())
+    return TheoremPart1Report(
+        n=n,
+        is_perfect=is_perfect,
+        center_dim=center_dim,
+        block_dims=blocks,
+        equal=equal,
+        der_total=der.total_dim,
+        nder_total=nder.total_dim,
+        delta_fixed_point=fixed,
+    )
+
+
+def _reference_inner_ideal(a, n):
+    if not a.is_perfect():
+        raise PreconditionFailed("inner-ideal check needs a perfect algebra")
+    nder = derivations.n_derivation_space(a, n)
+    inner = inner_derivation_space(a)
+    report = InnerIdealReport(n=n)
+    for p, D in enumerate(nder.basis_maps()):
+        for i, x in enumerate(_ad_basis(a)):
+            if not inner.contains_map(map_bracket(D, x)):
+                report.failures.append((p, i))
+    return report
+
+
+def _reference_centralizer(a, n):
+    if not a.is_perfect():
+        raise PreconditionFailed("centralizer check needs a perfect algebra")
+    nder = derivations.n_derivation_space(a, n)
+    report = CentralizerReport(n=n)
+    for gamma, sub in nder.walk():
+        basis = [GradedMap.from_block_vector(a, gamma, row) for row in sub.basis.entries]
+        rows = [
+            [map_bracket(B, x).matrix[k][l] for B in basis]
+            for x in _ad_basis(a)
+            for k in range(a.dim)
+            for l in range(a.dim)
+        ]
+        dim = kernel_from_rows(rows, sub.dim, a.conductor).dim if sub.dim else 0
+        report.block_dims.append((list(gamma.residues), dim))
+        report.total_dim += dim
+    return report
+
+
+def _reference_delta_membership(a, n):
+    if n < 3:
+        raise BadArity(f"delta membership needs n >= 3, got {n}")
+    if not a.is_perfect() or a.center().dim != 0:
+        raise PreconditionFailed("delta membership needs a perfect centerless algebra")
+    nder = derivations.n_derivation_space(a, n)
+    report = DeltaMembershipReport(n=n)
+    for idx, D in enumerate(nder.basis_maps()):
+        if not is_n_derivation(a, derivations.delta(a, D, n), n - 1):
+            report.failures.append(idx)
+    return report
+
+
+def _reference_ad_compat(a):
+    der = derivations.n_derivation_space(a, 2)
+    report = AdCompatReport()
+    for p, D in enumerate(der.basis_maps()):
+        for i, x in enumerate(_ad_basis(a)):
+            if map_bracket(D, x) != ad(a, D.apply(a.basis_vector(i))):
+                report.failures.append((p, i))
+    return report
+
+
+ROUTES = (
+    ("part1", verify_nder_equals_der, _reference_part1, True),
+    ("inner_ideal", verify_inner_ideal, _reference_inner_ideal, True),
+    ("centralizer", verify_centralizer_trivial, _reference_centralizer, True),
+    ("delta_membership", verify_delta_membership, _reference_delta_membership, True),
+    ("ad_compat", verify_ad_compat, _reference_ad_compat, False),
+)
+
+
+def _outcome(fn, *args):
+    # the report with its verdict, or the exception's type and text
+    try:
+        report = fn(*args)
+    except (PreconditionFailed, BadArity, NoSolution) as exc:
+        return type(exc).__name__, str(exc)
+    return report.to_jsonable(), report.passed
+
+
+def _assert_routes_agree(a, n):
+    for key, fn, reference, takes_n in ROUTES:
+        args = (a, n) if takes_n else (a,)
+        assert _outcome(fn, *args) == _outcome(reference, *args), key
+
+
+@pytest.mark.parametrize("name", ENTRIES + ("sl3",))
+@pytest.mark.parametrize("n", (2, 3))
+def test_table_routes_equal_the_per_call_loops(name, n):
+    _assert_routes_agree(_load(name), n)
+
+
+# -- hand-built spaces whose basis holds non-derivations ---------------------
+
+
+def _space(a, n, maps):
+    # the span of the given homogeneous maps, one block per degree
+    rows = {}
+    for D in maps:
+        rows.setdefault(D.degree, []).append(D.block_vector())
+    blocks = {
+        g: Subspace.from_rows(len(block_coordinates(a, g)), vs, a.conductor)
+        for g, vs in rows.items()
+    }
+    return DerivationSpace(a, n, blocks)
+
+
+def _unit(a, k, j):
+    # the matrix unit e_j -> e_k, homogeneous of degree deg e_k - deg e_j
+    one, zero = a.one_scalar(), a.zero_scalar()
+    grid = [[one if (r, c) == (k, j) else zero for c in range(a.dim)] for r in range(a.dim)]
+    return GradedMap(a, a.degrees[k] - a.degrees[j], grid)
+
+
+def _identity(a):
+    one, zero = a.one_scalar(), a.zero_scalar()
+    grid = [[one if r == c else zero for c in range(a.dim)] for r in range(a.dim)]
+    return GradedMap(a, a.group.zero(), grid)
+
+
+def _inner_maps(a):
+    return [ad(a, a.basis_vector(i)) for i in range(a.dim)]
+
+
+# (algebra, maps, what delta(B_p) == B_p gives on the first map with a miss)
+HAND_BUILT = {
+    # the identity commutes with every ad x, so delta of it is 0
+    "sl2+id": ("sl2", lambda a: _inner_maps(a) + [_identity(a)], False),
+    # [E_ee, ad e] sends h to -2e and f to 0: no ad x does that
+    "sl2:E_ee": ("sl2", lambda a: [_unit(a, 0, 0)], NoSolution),
+    "colorSl2+id": ("colorSl2", lambda a: _inner_maps(a)[:2] + [_identity(a)], False),
+    "osp12+unit": ("osp12", lambda a: _inner_maps(a) + [_unit(a, 1, 1)], None),
+}
+
+
+def _hand_built(key, n, monkeypatch):
+    name, build, _ = HAND_BUILT[key]
+    a = catalog.get(name)
+    space = _space(a, n, build(a))
+    real = derivations.n_derivation_space
+
+    def patched(b, k, **kwargs):
+        return space if k == n else real(b, k, **kwargs)
+
+    monkeypatch.setattr(derivations, "n_derivation_space", patched)
+    return a, space
+
+
+def _outcome_value(fn):
+    try:
+        return fn()
+    except NoSolution as exc:
+        return "NoSolution", str(exc)
+
+
+@pytest.mark.parametrize("key", sorted(HAND_BUILT))
+@pytest.mark.parametrize("n", (2, 3))
+def test_fixed_point_on_non_derivations_is_what_delta_gives(key, n, monkeypatch):
+    a, space = _hand_built(key, n, monkeypatch)
+    expected = HAND_BUILT[key][2]
+    misses = [p for p in range(space.total_dim) if _compat_misses(space, p)]
+    assert misses, key
+    want = _outcome_value(lambda: all(delta(a, D, n) == D for D in space.basis_maps()))
+    got = _outcome_value(lambda: verify_nder_equals_der(a, n).delta_fixed_point)
+    if expected is NoSolution:
+        assert want[0] == "NoSolution"
+    elif expected is False:
+        assert want is False
+    assert got == want
+    _assert_routes_agree(a, n)
+
+
+def test_misses_are_exactly_the_maps_delta_moves():
+    # no miss <=> delta(B_p) == B_p, map by map, on a zero-center algebra
+    a = catalog.get("sl2")
+    space = _space(a, 2, _inner_maps(a) + [_identity(a), _unit(a, 0, 0)])
+    for p, D in enumerate(space.basis_maps()):
+        fixed = _outcome_value(lambda: delta(a, D, 2) == D)
+        assert (fixed is True) == (not _compat_misses(space, p)), p
+
+
+# -- the table itself --------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ("colorSl2", "osp12", "sl3"))
+def test_table_entries_are_the_brackets_and_are_kept(name):
+    a = _load(name)
+    space = derivations.n_derivation_space(a, 3)
+    maps = space.basis_maps()
+    for p, D in enumerate(maps):
+        for i, x in enumerate(_ad_basis(a)):
+            entry = _ad_bracket(space, p, i)
+            assert entry == map_bracket(D, x)
+            assert _ad_bracket(space, p, i) is entry
+        want = tuple(
+            i for i in range(a.dim) if map_bracket(D, _ad_basis(a)[i]) != ad(a, D.apply(a.basis_vector(i)))
+        )
+        assert _compat_misses(space, p) == want
+        assert _compat_misses(space, p) is _compat_misses(space, p)
+
+
+def test_table_is_filled_one_entry_at_a_time(monkeypatch):
+    a = catalog.get("osp12")
+    space = derivations.n_derivation_space(a, 2)
+    calls = []
+    original = derivations.map_bracket
+
+    def counted(d1, d2):
+        calls.append(1)
+        return original(d1, d2)
+
+    monkeypatch.setattr(derivations, "map_bracket", counted)
+    _ad_bracket(space, 1, 2)
+    _ad_bracket(space, 1, 2)
+    assert len(calls) == 1
+    _compat_misses(space, 1)
+    assert len(calls) == a.dim
+    # the lemmas that read the same n = 2 space bracket nothing again
+    verify_ad_compat(a)
+    verify_inner_ideal(a, 2)
+    verify_centralizer_trivial(a, 2)
+    verify_nder_equals_der(a, 2)
+    assert len(calls) == space.total_dim * a.dim
+
+
+# -- delta membership on the kernel route, against the oracle ----------------
+
+
+def _off_kernel(a, lower, D):
+    # D plus each block unit vector outside D's block of the (n-1) space
+    gamma = D.degree
+    coords = block_coordinates(a, gamma)
+    block = lower.block(gamma)
+    base = list(D.block_vector())
+    for c in range(len(coords)):
+        unit = [a.one_scalar() if r == c else a.zero_scalar() for r in range(len(coords))]
+        if block.ambient_dim and block.contains_vector(unit):
+            continue
+        yield GradedMap.from_block_vector(
+            a, gamma, [x + y for x, y in zip(base, unit)]
+        )
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+@pytest.mark.parametrize("n", (3, 4))
+def test_delta_membership_verdicts_match_the_oracle(name, n):
+    a = catalog.get(name)
+    if name not in PERFECT:
+        with pytest.raises(PreconditionFailed):
+            verify_delta_membership(a, n)
+        return
+    nder = derivations.n_derivation_space(a, n)
+    want = [
+        p for p, D in enumerate(nder.basis_maps())
+        if not is_n_derivation(a, delta(a, D, n), n - 1)
+    ]
+    assert verify_delta_membership(a, n).failures == want
+    lower = derivations.n_derivation_space(a, n - 1)
+    broken = 0
+    for D in nder.basis_maps():
+        image = delta(a, D, n)
+        assert lower.contains_map(image) == is_n_derivation(a, image, n - 1)
+        for bad in _off_kernel(a, lower, image):
+            assert not lower.contains_map(bad)
+            assert not is_n_derivation(a, bad, n - 1)
+            broken += 1
+    assert broken
+
+
+@pytest.mark.parametrize("inside", (False, True), ids=("off-kernel", "the-map-itself"))
+def test_broken_deltas_fail_the_lemma_as_they_fail_the_oracle(inside, monkeypatch):
+    # delta is patched to break its result on every map that is not a
+    # derivation; the lemma calls delta only on maps with a compat miss, which
+    # are exactly those maps here. The broken result is the true one plus an
+    # off-kernel block vector outside the hand-built space, or the map itself,
+    # which lies in the hand-built space but not in Der
+    a, space = _hand_built("sl2+id", 3, monkeypatch)
+    lower = derivations.n_derivation_space(a, 2)
+    real = derivations.delta
+
+    def broken(b, D, n):
+        image = real(b, D, n)
+        if is_n_derivation(b, D, 2):
+            return image
+        if inside:
+            return D
+        return next(bad for bad in _off_kernel(b, lower, image) if not space.contains_map(bad))
+
+    monkeypatch.setattr(derivations, "delta", broken)
+    outside = [p for p, D in enumerate(space.basis_maps()) if not is_n_derivation(a, D, 2)]
+    assert outside == [p for p in range(space.total_dim) if _compat_misses(space, p)]
+    want = _reference_delta_membership(a, 3).failures
+    assert want == outside
+    assert verify_delta_membership(a, 3).failures == want

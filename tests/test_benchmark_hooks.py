@@ -74,6 +74,18 @@ def test_ad_preimages_use_one_factorization_per_algebra():
     assert counter["maps.bracket_calls"] <= 50
 
 
+def test_lemmas_share_one_table_of_ad_brackets():
+    # part 1's fixed point, the inner-ideal, centralizer and ad-compat lemmas
+    # each bracketed the 5 basis maps of Der with the 5 ad(e_i): 100 brackets
+    # and 50 ad solves; the shared table brackets each pair once, part 2's
+    # pair grid takes 15 more, and only part 2's witnesses solve
+    from colorlie import cli
+
+    argv = ["verify", "catalog:osp12", "--n", "2", "--lemmas", "--json"]
+    counter = _counted_calls(lambda: cli.run(argv))
+    assert counter["maps.bracket_calls"] <= 40
+    assert counter["maps.ad_solve_calls"] <= 25
+
 
 # Products through zero entries of the rows, and double brackets that the Jacobi
 # check evaluated three times each, used to come to 1,620 and 167 products.

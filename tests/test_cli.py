@@ -336,6 +336,20 @@ def test_cli_verify_reports_non_lie_input(n, tmp_path):
     }
 
 
+def test_cli_part1_fails_on_an_algebra_that_fails_the_axioms():
+    # catalog:sl2 with [h, f] = -3f: perfect, centerless, antisymmetric, not Jacobi
+    path = str(DATA_DIR / "jacobi_broken_sl2.json")
+    code, out = run(["check", path, "--json"])
+    assert code == 1
+    assert [0, 1, 2] in json.loads(out)["violations"]["jacobi"]
+    code, out = run(["verify", path, "--n", "2", "--part", "1", "--json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["part1"]["delta_fixed_point"] is None
+    assert report["part1"]["equal"] is True
+
+
 def test_cli_rejects_non_utf8_file(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"group": {"orders": []}, "basis": "\xe9"}'.encode("latin-1"))

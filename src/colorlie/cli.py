@@ -178,8 +178,8 @@ def _cmd_verify(a, args, report, lines):
         lines.append(
             f"part 1 (nDer = Der, n={args.n}): "
             f"{'pass' if part1.passed else 'FAIL'} "
-            f"(preconditions_hold={part1.preconditions_hold}, equal={part1.equal}, "
-            f"dims {part1.der_total}/{part1.nder_total})"
+            f"(preconditions_hold={part1.preconditions_hold}, axioms_ok={a.check_axioms().ok}, "
+            f"equal={part1.equal}, dims {part1.der_total}/{part1.nder_total})"
         )
     if args.part in ("2", "all"):
         try:
@@ -198,10 +198,10 @@ def _cmd_verify(a, args, report, lines):
     if args.lemmas:
         lemmas = {}
 
-        def run_lemma(key, fn, *fn_args, **fn_kwargs):
+        def run_lemma(key, fn, *fn_args):
             nonlocal ok
             try:
-                rep = fn(*fn_args, max_n=args.max_n, **fn_kwargs)
+                rep = fn(*fn_args, max_n=args.max_n)
                 lemmas[key] = rep.to_jsonable() | {"passed": rep.passed}
                 ok = ok and rep.passed
                 lines.append(f"lemma {key}: {'pass' if rep.passed else 'FAIL'}")

@@ -348,6 +348,9 @@ def test_cli_part1_fails_on_an_algebra_that_fails_the_axioms():
     assert report["passed"] is False
     assert report["part1"]["delta_fixed_point"] is None
     assert report["part1"]["equal"] is True
+    code, out = run(["verify", path, "--n", "2", "--part", "1"])
+    assert code == 1
+    assert "FAIL (preconditions_hold=True, axioms_ok=False, equal=True, dims 1/1)" in out
 
 
 def test_cli_rejects_non_utf8_file(tmp_path, capsys):

@@ -458,7 +458,7 @@ def test_verify_closure(algebras):
     assert verify_closure(algebras["sl2"], 3, 100).passed
     assert verify_closure(algebras["abelian(2)"], 3, 10).passed
     assert verify_closure(algebras["colorSl2"], 4, 100).passed
-    # deterministic under a fixed seed
+    # deterministic
     r1 = verify_closure(algebras["osp12"], 3, 20)
     r2 = verify_closure(catalog.get("osp12"), 3, 20)
     assert r1.to_jsonable() == r2.to_jsonable()

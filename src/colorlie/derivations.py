@@ -198,11 +198,11 @@ class DerivationSpace:
     The space owns its basis layout: ``basis_maps()`` lists the block bases
     degree by degree, and ``coordinates(D)`` gives D's coefficients in that
     order, or None when D lies outside the space. The brackets of pairs of
-    basis maps, in those coordinates, and the [B_p, ad e_i] are built once
-    and kept (``_pair_brackets``, ``_ad_table``).
+    basis maps, in those coordinates, and the basis maps with their compat
+    misses are built once and kept (``_pair_brackets``, ``_compat_table``).
     """
 
-    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_pair_brackets", "_ad_table")
+    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_pair_brackets", "_compat_table")
 
     def __init__(self, algebra: ColorAlgebra, n: int, blocks: dict):
         empty = _empty_block(algebra.conductor)
@@ -220,7 +220,7 @@ class DerivationSpace:
         object.__setattr__(self, "total_dim", total)
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_pair_brackets", None)
-        object.__setattr__(self, "_ad_table", None)
+        object.__setattr__(self, "_compat_table", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DerivationSpace is immutable")
@@ -594,33 +594,39 @@ def _pair_brackets(space: DerivationSpace) -> tuple:
     return grid
 
 
-def _ad_table(space: DerivationSpace) -> tuple:
-    """(B_p by p, [B_p, ad e_i] by (p, i), compat misses by p), kept on the space and
-    filled one entry at a time, so a reader that stops early builds only what it reads."""
-    if space._ad_table is None:
-        maps = space.basis_maps()
-        object.__setattr__(space, "_ad_table", (maps, [[None] * space.algebra.dim for _ in maps], {}))
-    return space._ad_table
-
-
-def _ad_bracket(space: DerivationSpace, p: int, i: int) -> GradedMap:
-    maps, grid, _ = _ad_table(space)
-    if grid[p][i] is None:
-        grid[p][i] = map_bracket(maps[p], _ad_basis(space.algebra)[i])
-    return grid[p][i]
+def _compat_table(space: DerivationSpace) -> tuple:
+    """(B_p by p, compat misses by p), kept on the space; each p's misses are found on first read."""
+    if space._compat_table is None:
+        object.__setattr__(space, "_compat_table", (space.basis_maps(), {}))
+    return space._compat_table
 
 
 def _compat_misses(space: DerivationSpace, p: int) -> tuple:
-    """The i with [B_p, ad e_i] != ad(B_p(e_i)). Where ad is injective (a zero center)
-    there are none exactly when delta(B_p) = B_p: ad(delta(B_p)(e_i)) = [B_p, ad e_i]."""
+    """The i with [B_p, ad e_i] != ad(B_p(e_i)), read off the derivation identity: i is a
+    miss at the first j where B_p[e_i, e_j] - [B_p e_i, e_j] - eps(deg B_p, deg e_i)[e_i, B_p e_j],
+    summed per output coordinate from the nonzero constants and columns of B_p, is nonzero.
+    No map is bracketed. Where ad is injective (a zero center) there are no misses exactly
+    when delta(B_p) = B_p: ad(delta(B_p)(e_i)) = [B_p, ad e_i]."""
     a = space.algebra
-    maps, _, misses = _ad_table(space)
+    maps, misses = _compat_table(space)
     if p not in misses:
-        # column i of B_p is B_p(e_i); where the grids agree, so do the degrees
-        misses[p] = tuple(
-            i for i, y in enumerate(zip(*maps[p].matrix))
-            if tuple(map(tuple, _ad_grid(a, y))) != _ad_bracket(space, p, i).matrix
-        )
+        D = maps[p]
+        cols, nz = _columns(D), a._nonzero_constants()
+        found = []
+        for i in range(a.dim):
+            e, nzi = -a.bichar.eps(D.degree, a.degrees[i]), nz[i]
+            image = [(-b, nz[l]) for l, b in cols[i]]
+            for j in range(a.dim):
+                terms = [(c, cols[l]) for l, c in nzi[j]] + [(b, nzl[j]) for b, nzl in image]
+                acc = {}
+                for s, pairs in terms + [(e * b, nzi[l]) for l, b in cols[j] if nzi[l]]:
+                    for k, c in pairs:
+                        v = s * c
+                        acc[k] = acc[k] + v if k in acc else v
+                if any(acc.values()):
+                    found.append(i)
+                    break
+        misses[p] = tuple(found)
     return misses[p]
 
 
@@ -709,7 +715,8 @@ def verify_nder_equals_der(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_
 
     When the hypotheses or the axiom check fail the observed relationship is
     recorded with no claim attached. On theorem instances the report confirms
-    delta(D) = D on every basis map, as D having no ``_compat_misses``.
+    delta(D) = D on every basis map: D has no ``_compat_misses``, which are read
+    off the derivation identity, or else delta is solved for and compared.
     """
     der = n_derivation_space(a, 2, max_n=max_n)
     nder = n_derivation_space(a, n, max_n=max_n)
@@ -718,7 +725,7 @@ def verify_nder_equals_der(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_
     center_dim = a.center().dim
     fixed = None
     if is_perfect and center_dim == 0 and a.check_axioms().ok:
-        maps = _ad_table(nder)[0]
+        maps = _compat_table(nder)[0]
         fixed = all(not _compat_misses(nder, p) or delta(a, D, n) == D for p, D in enumerate(maps))
     return TheoremPart1Report(
         n=n,
@@ -804,12 +811,8 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     if None in ad_image_rows:
         raise NoSolution("an inner map of the base algebra escaped Der")
     ad_image = Subspace.from_rows(A.dim, ad_image_rows, A.conductor)
-    # nonzero entries of each basis map of Der, from which witness targets are summed
+    # the basis maps of Der, from whose nonzero columns witness targets are summed
     der_maps = der.basis_maps()
-    der_entries = [
-        [(k, l, c) for k, row in enumerate(mp.matrix) for l, c in enumerate(row) if c]
-        for mp in der_maps
-    ]
     z = a.zero_scalar()
 
     def der_map(coeffs) -> GradedMap:
@@ -818,8 +821,9 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
         for p, c in enumerate(coeffs):
             if c:
                 degree = der_maps[p].degree
-                for k, l, v in der_entries[p]:
-                    grid[k][l] = grid[k][l] + c * v
+                for l, col in enumerate(_columns(der_maps[p])):
+                    for k, v in col:
+                        grid[k][l] = grid[k][l] + c * v
         return GradedMap(a, degree, grid)
 
     preserves = True
@@ -910,9 +914,10 @@ def verify_inner_ideal(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
         raise PreconditionFailed("inner-ideal check needs a perfect algebra")
     nder = n_derivation_space(a, n, max_n=max_n)
     inner = inner_derivation_space(a)
+    # with no compat miss at i, [B_p, ad e_i] = ad(B_p(e_i)) lies in ad(L)
     failures = [
-        (p, i) for p in range(nder.total_dim) for i in range(a.dim)
-        if not inner.contains_map(_ad_bracket(nder, p, i))
+        (p, i) for p, D in enumerate(_compat_table(nder)[0]) for i in _compat_misses(nder, p)
+        if not inner.contains_map(map_bracket(D, _ad_basis(a)[i]))
     ]
     return InnerIdealReport(n=n, failures=failures)
 
@@ -947,7 +952,8 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
         if r:
             start = nder._offsets[gamma]
             # one ad(e_j) at a time, so no bracket is built once the rows reach rank r
-            brackets = ([_ad_bracket(nder, p, j) for p in range(start, start + r)] for j in range(a.dim))
+            maps = _compat_table(nder)[0][start:start + r]
+            brackets = ([map_bracket(B, x) for B in maps] for x in _ad_basis(a))
             # the brackets with one ad(e_j) share the degree gamma + deg e_j
             rows = (row for bs in brackets for row in zip(*(B.block_vector() for B in bs)))
             dim = kernel_from_rows(rows, r, a.conductor).dim
@@ -971,7 +977,7 @@ def verify_delta_membership(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     nder = n_derivation_space(a, n, max_n=max_n)
     lower = n_derivation_space(a, n - 1, max_n=max_n)
     failures = [
-        p for p, D in enumerate(_ad_table(nder)[0])
+        p for p, D in enumerate(_compat_table(nder)[0])
         if not lower.contains_map(delta(a, D, n) if _compat_misses(nder, p) else D)
     ]
     return DeltaMembershipReport(n=n, failures=failures)

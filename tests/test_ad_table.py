@@ -1,20 +1,28 @@
-"""The table of [B_p, ad e_i] that the verify routines share, against the
-per-call loops it replaced.
+"""The compat misses that the verify routines share, against the per-call
+loops and the bracket rule they replaced.
 
-Each ``DerivationSpace`` keeps one lazily filled table: entry (p, i) is
-``map_bracket(B_p, ad e_i)``, and for each p the compat misses, the i where
-that bracket differs from ``ad(B_p(e_i))``. Part 1's fixed point, the
-inner-ideal, centralizer, delta-membership and ad-compat lemmas read it.
-The ``_reference_*`` functions below are the loops those routines ran
-before, kept here only: every report must equal theirs, on the catalog, on
-sl(3), and on hand-built spaces whose basis holds non-derivations. Delta
-membership now reads the kernel route ``n_derivation_space(a, n - 1)``;
-the brute-force oracle ``is_n_derivation`` checks its verdicts.
+Each ``DerivationSpace`` keeps its basis maps and, for each basis map B_p,
+its compat misses: the i where [B_p, ad e_i] differs from ad(B_p(e_i)).
+They are read off the derivation identity at each (e_i, e_j), on the
+nonzero constants and the nonzero columns of B_p, with no map bracketed.
+``_reference_misses`` below is the rule they replaced: bracket B_p with
+every ad(e_i) and compare. Part 1's fixed point and the inner-ideal,
+delta-membership and ad-compat lemmas read the misses; the centralizer
+lemma brackets the kept basis maps itself. The ``_reference_*`` report
+functions are the loops those routines ran before, kept here only: every
+report must equal theirs, on the catalog, on sl(3), and on hand-built
+spaces whose basis holds non-derivations. Delta membership now reads the
+kernel route ``n_derivation_space(a, n - 1)``; the brute-force oracle
+``is_n_derivation`` checks its verdicts.
 """
 
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
 
 from colorlie import catalog, derivations
+from colorlie.algebra import ColorAlgebra
 from colorlie.derivations import (
     AdCompatReport,
     CentralizerReport,
@@ -24,9 +32,10 @@ from colorlie.derivations import (
     InnerIdealReport,
     TheoremPart1Report,
     _ad_basis,
-    _ad_bracket,
+    _ad_grid,
     _compare_blocks,
     _compat_misses,
+    _compat_table,
     ad,
     block_coordinates,
     delta,
@@ -35,15 +44,24 @@ from colorlie.derivations import (
     map_bracket,
     verify_ad_compat,
     verify_centralizer_trivial,
+    verify_closure,
     verify_delta_membership,
     verify_inner_ideal,
     verify_nder_equals_der,
+    verify_second_statement,
 )
 from colorlie.errors import BadArity, NoSolution, PreconditionFailed
+from colorlie.fileio import parse_algebra
 from colorlie.linalg import Subspace, kernel_from_rows
+
+from test_algebra import _misgraded_color_sl2
+from test_closure import _perturbed
 
 ENTRIES = ("sl2", "heis3", "aff2", "colorSl2", "osp12", "abelian(2)", "abelian(3)")
 PERFECT = ("sl2", "colorSl2", "osp12")
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 def _load(name):
@@ -51,6 +69,8 @@ def _load(name):
         from perfbench.algebras import sl
 
         return sl(3)
+    if name == "torus3":
+        return parse_algebra((DATA_DIR / "torus3.json").read_text(encoding="utf-8"))
     return catalog.get(name)
 
 
@@ -131,6 +151,28 @@ def _reference_ad_compat(a):
             if map_bracket(D, x) != ad(a, D.apply(a.basis_vector(i))):
                 report.failures.append((p, i))
     return report
+
+
+def _reference_misses(space, p):
+    # the rule the misses replaced: bracket B_p with every ad(e_i) and compare
+    a = space.algebra
+    D = space.basis_maps()[p]
+    return tuple(
+        i for i, x in enumerate(_ad_basis(a))
+        if map_bracket(D, x) != ad(a, D.apply(a.basis_vector(i)))
+    )
+
+
+def _grid_reference_misses(space, p):
+    # the same rule on bare grids, with no support check on ad(e_i): what the
+    # rule gives where the checked ad(e_i) of a mis-graded algebra raises
+    a = space.algebra
+    D = space.basis_maps()[p]
+    return tuple(
+        i for i in range(a.dim)
+        if map_bracket(D, GradedMap._unchecked(a, a.degrees[i], _ad_grid(a, a.basis_vector(i)))).matrix
+        != tuple(map(tuple, _ad_grid(a, D.apply(a.basis_vector(i)))))
+    )
 
 
 ROUTES = (
@@ -252,29 +294,77 @@ def test_misses_are_exactly_the_maps_delta_moves():
         assert (fixed is True) == (not _compat_misses(space, p)), p
 
 
-# -- the table itself --------------------------------------------------------
+# -- the misses themselves ---------------------------------------------------
+
+
+def _assert_misses_equal_the_reference(space):
+    a = space.algebra
+    for p in range(space.total_dim):
+        got = _compat_misses(space, p)
+        if a.grading_violations():
+            # the checked ad(e_i) of a mis-graded algebra raises; the identity does not
+            with pytest.raises(ValueError):
+                _reference_misses(space, p)
+            assert got == _grid_reference_misses(space, p), p
+        else:
+            assert got == _reference_misses(space, p), p
+
+
+@pytest.mark.parametrize("name", ENTRIES + ("sl3", "torus3"))
+@pytest.mark.parametrize("n", (2, 3))
+def test_misses_equal_the_bracket_rule(name, n):
+    _assert_misses_equal_the_reference(derivations.n_derivation_space(_load(name), n))
+
+
+@pytest.mark.parametrize("key", sorted(HAND_BUILT))
+@pytest.mark.parametrize("n", (2, 3))
+def test_misses_equal_the_bracket_rule_on_non_derivations(key, n, monkeypatch):
+    _, space = _hand_built(key, n, monkeypatch)
+    _assert_misses_equal_the_reference(space)
+    assert any(_compat_misses(space, p) for p in range(space.total_dim))
+
+
+def _non_derivations(b, n):
+    # the identity and two matrix units, which are derivations of almost nothing
+    return _space(b, n, [_identity(b), _unit(b, 0, 0), _unit(b, 0, b.dim - 1)])
+
+
+def _assert_misses_equal_the_reference_on(b):
+    for n in (2, 3):
+        _assert_misses_equal_the_reference(derivations.n_derivation_space(b, n))
+        _assert_misses_equal_the_reference(_non_derivations(b, n))
+
+
+@settings(deadline=None)
+@given(b=_perturbed())
+def test_misses_equal_the_bracket_rule_on_perturbed_catalog_entries(b):
+    _assert_misses_equal_the_reference_on(b)
+
+
+def _jacobi_broken_sl2():
+    return parse_algebra((DATA_DIR / "jacobi_broken_sl2.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("build", (_jacobi_broken_sl2, _misgraded_color_sl2), ids=("jacobi", "grading"))
+def test_misses_equal_the_bracket_rule_on_input_that_fails_the_axiom_check(build):
+    b = build()
+    assert not b.check_axioms().ok
+    _assert_misses_equal_the_reference_on(b)
 
 
 @pytest.mark.parametrize("name", ("colorSl2", "osp12", "sl3"))
-def test_table_entries_are_the_brackets_and_are_kept(name):
-    a = _load(name)
-    space = derivations.n_derivation_space(a, 3)
-    maps = space.basis_maps()
-    for p, D in enumerate(maps):
-        for i, x in enumerate(_ad_basis(a)):
-            entry = _ad_bracket(space, p, i)
-            assert entry == map_bracket(D, x)
-            assert _ad_bracket(space, p, i) is entry
-        want = tuple(
-            i for i in range(a.dim) if map_bracket(D, _ad_basis(a)[i]) != ad(a, D.apply(a.basis_vector(i)))
-        )
-        assert _compat_misses(space, p) == want
-        assert _compat_misses(space, p) is _compat_misses(space, p)
+def test_misses_equal_the_reference_and_are_kept(name):
+    space = derivations.n_derivation_space(_load(name), 3)
+    for p in range(space.total_dim):
+        misses = _compat_misses(space, p)
+        assert misses == _reference_misses(space, p)
+        assert _compat_misses(space, p) is misses
+    maps, kept = _compat_table(space)
+    assert _compat_table(space)[0] is maps
+    assert sorted(kept) == list(range(space.total_dim))
 
 
-def test_table_is_filled_one_entry_at_a_time(monkeypatch):
-    a = catalog.get("osp12")
-    space = derivations.n_derivation_space(a, 2)
+def _counting_brackets(monkeypatch):
     calls = []
     original = derivations.map_bracket
 
@@ -283,17 +373,38 @@ def test_table_is_filled_one_entry_at_a_time(monkeypatch):
         return original(d1, d2)
 
     monkeypatch.setattr(derivations, "map_bracket", counted)
-    _ad_bracket(space, 1, 2)
-    _ad_bracket(space, 1, 2)
-    assert len(calls) == 1
-    _compat_misses(space, 1)
-    assert len(calls) == a.dim
-    # the lemmas that read the same n = 2 space bracket nothing again
+    return calls
+
+
+def test_misses_bracket_nothing_and_the_lemmas_little(monkeypatch):
+    base = catalog.get("osp12")
+    a = ColorAlgebra(base.group, base.bichar, base.degrees, base.constants, names=base.names)
+    space = derivations.n_derivation_space(a, 2)
+    calls = _counting_brackets(monkeypatch)
+    assert not any(_compat_misses(space, p) for p in range(space.total_dim))
+    # no miss on Der: part 1's fixed point, ad compat and the inner ideal bracket nothing
+    verify_nder_equals_der(a, 2)
     verify_ad_compat(a)
     verify_inner_ideal(a, 2)
+    assert not calls
+    # the centralizer stops at full rank, and part 2 and closure share one pair grid
     verify_centralizer_trivial(a, 2)
-    verify_nder_equals_der(a, 2)
-    assert len(calls) == space.total_dim * a.dim
+    verify_closure(a, 2, 100)
+    verify_second_statement(a, 2)
+    assert len(calls) <= 25
+
+
+@pytest.mark.parametrize("key", sorted(HAND_BUILT))
+@pytest.mark.parametrize("n", (2, 3))
+def test_inner_ideal_brackets_only_at_the_misses(key, n, monkeypatch):
+    a, space = _hand_built(key, n, monkeypatch)
+    want = _reference_inner_ideal(a, n).failures
+    misses = sum(len(_compat_misses(space, p)) for p in range(space.total_dim))
+    calls = _counting_brackets(monkeypatch)
+    assert verify_inner_ideal(a, n).failures == want
+    assert len(calls) == misses
+    if key == "sl2:E_ee":
+        assert want
 
 
 # -- delta membership on the kernel route, against the oracle ----------------

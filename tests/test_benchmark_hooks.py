@@ -77,14 +77,34 @@ def test_ad_preimages_use_one_factorization_per_algebra():
 def test_lemmas_share_one_table_of_ad_brackets():
     # part 1's fixed point, the inner-ideal, centralizer and ad-compat lemmas
     # each bracketed the 5 basis maps of Der with the 5 ad(e_i): 100 brackets
-    # and 50 ad solves; the shared table brackets each pair once, part 2's
-    # pair grid takes 15 more, and only part 2's witnesses solve
+    # and 50 ad solves; a shared table of [B_p, ad e_i] cut that to 40. The
+    # compat misses now come from the derivation identity, and Der has none,
+    # so only the centralizer brackets (10, stopping at full rank) and part
+    # 2's pair grid (15); only part 2's witnesses solve
     from colorlie import cli
 
     argv = ["verify", "catalog:osp12", "--n", "2", "--lemmas", "--json"]
     counter = _counted_calls(lambda: cli.run(argv))
-    assert counter["maps.bracket_calls"] <= 40
+    assert counter["maps.bracket_calls"] <= 25
     assert counter["maps.ad_solve_calls"] <= 25
+
+
+def test_part1_fixed_point_brackets_nothing(tmp_path):
+    # delta(D) = D on every basis map used to bracket each of sl3's 8 basis
+    # maps of nDer with the 8 ad(e_i), 64 brackets; the compat misses are read
+    # off the derivation identity, and delta runs only on a map with a miss
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from colorlie import cli
+    from colorlie.fileio import serialize_algebra
+    from perfbench.algebras import sl
+
+    path = tmp_path / "sl3.json"
+    path.write_text(serialize_algebra(sl(3)), encoding="utf-8")
+    argv = ["verify", str(path), "--n", "2", "--part", "1", "--json"]
+    counter = _counted_calls(lambda: cli.run(argv))
+    assert counter["maps.bracket_calls"] == 0
+    assert counter["maps.ad_solve_calls"] == 0
 
 
 # Products through zero entries of the rows, and double brackets that the Jacobi

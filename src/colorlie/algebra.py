@@ -79,10 +79,12 @@ class DegreeTable:
 
     ``blocks`` partitions the coordinates by it, {gamma: (k, j) in order},
     over the support only (at most d*d degrees), in ``group.elements()`` order.
+    ``positions[k, j]`` is the index of (k, j) in its degree's block.
     """
 
     differences: tuple
     blocks: dict
+    positions: dict
 
 
 class ColorAlgebra:
@@ -195,7 +197,8 @@ class ColorAlgebra:
                 blocks.setdefault(gamma, []).append((k, j))
         ordered = sorted(blocks, key=lambda gamma: gamma.residues)
         blocks = {gamma: tuple(blocks[gamma]) for gamma in ordered}
-        return DegreeTable(differences, blocks)
+        positions = {kj: s for coords in blocks.values() for s, kj in enumerate(coords)}
+        return DegreeTable(differences, blocks, positions)
 
     # -- brackets -----------------------------------------------------------
 

@@ -11,9 +11,10 @@ An n-derivation D satisfies, on every n-tuple of homogeneous elements,
 D, spaces are computed as direct sums of homogeneous blocks, one per
 degree of the (finite) grading group; the full space is the span of the
 blocks. A degree-gamma map can be nonzero only at coordinates (k, j) with
-deg e_k - deg e_j = gamma, so only the degrees of that support (at most
-d*d, read from ``ColorAlgebra.degree_table``) get a linear system; every
-other degree holds the zero space.
+deg e_k - deg e_j = gamma, its block: a ``GradedMap`` holds only the block's
+entries, and its d x d ``matrix`` is a view built on read. Only the degrees
+of that support (at most d*d, read from ``ColorAlgebra.degree_table``) get
+a linear system; every other degree holds the zero space.
 
 Two independent routes exist on purpose: ``n_derivation_space`` assembles
 one linear system per degree and takes its kernel, while
@@ -67,15 +68,19 @@ def block_coordinates(a: ColorAlgebra, gamma: GroupElement) -> tuple:
 
 
 class GradedMap:
-    """A homogeneous linear endomorphism: M[k][j] is the e_k coefficient of D(e_j).
+    """A homogeneous linear endomorphism, held as its degree and its block vector.
 
-    Entries outside the degree block must be exactly zero.
+    ``vector`` lists the entries at ``block_coordinates(algebra, degree)`` in
+    canonical order; every other entry is zero. ``matrix`` is the d x d view,
+    built on each read, in which M[k][j] is the e_k coefficient of D(e_j).
+    The public constructor takes such a grid, coerces its entries through
+    ``algebra.scalar`` and rejects a nonzero entry outside the degree block.
     """
 
-    __slots__ = ("algebra", "degree", "matrix", "_cols")
+    __slots__ = ("algebra", "degree", "vector", "_cols")
 
     def __init__(self, algebra: ColorAlgebra, degree: GroupElement, matrix):
-        matrix = tuple(tuple(row) for row in matrix)
+        matrix = [[algebra.scalar(c) for c in row] for row in matrix]
         d = algebra.dim
         if len(matrix) != d or any(len(row) != d for row in matrix):
             raise ValueError(f"matrix must be {d}x{d}")
@@ -86,69 +91,64 @@ class GradedMap:
                     raise ValueError(
                         f"entry ({k}, {j}) violates the degree-{degree} block support"
                     )
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_cols", None)
+        coords = block_coordinates(algebra, degree)
+        self._hold(algebra, degree, tuple(matrix[k][j] for k, j in coords))
 
-    @staticmethod
-    def _unchecked(algebra: ColorAlgebra, degree: GroupElement, grid) -> "GradedMap":
-        # for a d x d grid whose support lies in the degree block by construction
-        D = object.__new__(GradedMap)
-        object.__setattr__(D, "algebra", algebra)
-        object.__setattr__(D, "degree", degree)
-        object.__setattr__(D, "matrix", tuple(tuple(row) for row in grid))
-        object.__setattr__(D, "_cols", None)
-        return D
+    def _hold(self, algebra: ColorAlgebra, degree: GroupElement, vector: tuple) -> None:
+        for name, value in zip(GradedMap.__slots__, (algebra, degree, vector, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
 
     @staticmethod
     def zero(algebra: ColorAlgebra, degree: GroupElement) -> "GradedMap":
-        z = algebra.zero_scalar()
-        d = algebra.dim
-        return GradedMap(algebra, degree, ((z,) * d,) * d)
+        zeros = (algebra.zero_scalar(),) * len(block_coordinates(algebra, degree))
+        return GradedMap.from_block_vector(algebra, degree, zeros)
+
+    @property
+    def matrix(self) -> tuple:
+        """The d x d grid of this map, built on each read."""
+        d = self.algebra.dim
+        grid = [[self.algebra.zero_scalar()] * d for _ in range(d)]
+        for (k, j), c in zip(block_coordinates(self.algebra, self.degree), self.vector):
+            grid[k][j] = c
+        return tuple(map(tuple, grid))
 
     def apply(self, v) -> tuple:
         out = [self.algebra.zero_scalar()] * self.algebra.dim
-        for j, vj in enumerate(v):
+        for vj, col in zip(v, _columns(self)):
             if vj:
-                for k in range(self.algebra.dim):
-                    c = self.matrix[k][j]
-                    if c:
-                        out[k] = out[k] + c * vj
+                for k, c in col:
+                    out[k] = out[k] + c * vj
         return tuple(out)
 
     def is_zero(self) -> bool:
-        # entries never written are the shared zero scalar, which tuple
-        # comparison passes by identity without calling __eq__
-        z = self.algebra.zero_scalar()
-        return self.matrix == ((z,) * self.algebra.dim,) * self.algebra.dim
+        # tuple comparison passes the shared zero by identity, without __eq__
+        return self.vector == (self.algebra.zero_scalar(),) * len(self.vector)
 
     def block_vector(self) -> tuple:
         """Entries at this degree's block coordinates, in canonical order."""
-        coords = block_coordinates(self.algebra, self.degree)
-        return tuple(self.matrix[k][j] for k, j in coords)
+        return self.vector
 
     @staticmethod
     def from_block_vector(algebra: ColorAlgebra, degree: GroupElement, vec) -> "GradedMap":
         coords = block_coordinates(algebra, degree)
         if len(vec) != len(coords):
             raise ValueError(f"expected {len(coords)} block entries, got {len(vec)}")
-        z = algebra.zero_scalar()
-        grid = [[z] * algebra.dim for _ in range(algebra.dim)]
-        for (k, j), c in zip(coords, vec):
-            grid[k][j] = c
-        return GradedMap._unchecked(algebra, degree, grid)
+        D = object.__new__(GradedMap)
+        D._hold(algebra, degree, tuple(vec))
+        return D
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return NotImplemented
-        if self.algebra != other.algebra or self.matrix != other.matrix:
+        if self.algebra != other.algebra:
             return False
+        if self.degree == other.degree:
+            return self.vector == other.vector
         # the zero map belongs to every degree component
-        return self.degree == other.degree or self.is_zero()
+        return self.is_zero() and other.is_zero()
 
     def __repr__(self):
         return f"GradedMap(degree={self.degree}, dim={self.algebra.dim})"
@@ -175,8 +175,16 @@ def _ad_grid(a: ColorAlgebra, x) -> list:
 
 @per_algebra
 def _ad_basis(a: ColorAlgebra) -> tuple:
-    """ad(e_i) for every basis index i."""
-    return tuple(ad(a, a.basis_vector(i)) for i in range(a.dim))
+    """ad(e_i) for every basis index i. A clean grading scan puts it in the degree-deg e_i
+    block, read off its grid unchecked; else ValueError names the first misplaced constant."""
+    scan = a._grading_scan()
+    if scan:
+        i, j, k = scan[0]
+        raise ValueError(f"the grading fails at c[{i}][{j}][{k}], so ad({a.names[i]}) is not homogeneous")
+    return tuple(
+        GradedMap.from_block_vector(a, g, [grid[k][j] for k, j in block_coordinates(a, g)])
+        for g, grid in zip(a.degrees, (_ad_grid(a, a.basis_vector(i)) for i in range(a.dim)))
+    )
 
 
 @cache
@@ -191,18 +199,17 @@ class DerivationSpace:
     ``blocks`` holds one block per degree of the support (the keys of
     ``ColorAlgebra.degree_table().blocks``), in group order; a support
     degree the caller left out holds the zero space of ambient dimension 0.
-    Every other degree is answered by ``block`` with that same shared zero
-    space. ``walk()`` lists every degree of the group, in group order, for
-    the reports that list them all.
+    ``walk()`` lists every degree of the group, in group order, with that
+    same shared zero space off the support, for the reports that list them all.
 
     The space owns its basis layout: ``basis_maps()`` lists the block bases
     degree by degree, and ``coordinates(D)`` gives D's coefficients in that
-    order, or None when D lies outside the space. The brackets of pairs of
-    basis maps, in those coordinates, and the basis maps with their compat
-    misses are built once and kept (``_pair_brackets``, ``_compat_table``).
+    order, or None when D lies outside the space. The basis maps, the brackets
+    of their pairs in those coordinates, and their compat misses are built once
+    and kept (``_maps``, ``_pair_brackets``, ``_misses``).
     """
 
-    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_pair_brackets", "_compat_table")
+    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_maps", "_pair_brackets", "_misses")
 
     def __init__(self, algebra: ColorAlgebra, n: int, blocks: dict):
         empty = _empty_block(algebra.conductor)
@@ -219,14 +226,12 @@ class DerivationSpace:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "total_dim", total)
         object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_maps", None)
         object.__setattr__(self, "_pair_brackets", None)
-        object.__setattr__(self, "_compat_table", None)
+        object.__setattr__(self, "_misses", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("DerivationSpace is immutable")
-
-    def block(self, gamma: GroupElement) -> Subspace:
-        return self.blocks.get(gamma, _empty_block(self.algebra.conductor))
 
     def walk(self):
         """(gamma, block) for every degree of the group, in group order.
@@ -245,12 +250,14 @@ class DerivationSpace:
                 yield gamma, empty
 
     def basis_maps(self) -> list:
-        """Every block-basis vector reassembled as a GradedMap, in canonical order."""
-        maps = []
-        for gamma, sub in self.blocks.items():
-            for row in sub.basis.entries:
-                maps.append(GradedMap.from_block_vector(self.algebra, gamma, row))
-        return maps
+        """Every block-basis vector as a GradedMap, in canonical order; built once, listed afresh."""
+        if self._maps is None:
+            maps = tuple(
+                GradedMap.from_block_vector(self.algebra, gamma, row)
+                for gamma, sub in self.blocks.items() for row in sub.basis.entries
+            )
+            object.__setattr__(self, "_maps", maps)
+        return list(self._maps)
 
     def coordinates(self, D: GradedMap):
         """D's coefficients over ``basis_maps()``, or None when D is outside the space."""
@@ -446,14 +453,13 @@ def inner_derivation_space(a: ColorAlgebra) -> DerivationSpace:
 
 
 def _columns(D: GradedMap) -> list:
-    # per column j, the (k, M[k][j]) with M[k][j] nonzero; found once per map
+    # per column j, the (k, M[k][j]) with M[k][j] nonzero, k increasing; found once per map
     cols = D._cols
     if cols is None:
         cols = [[] for _ in range(D.algebra.dim)]
-        for k, row in enumerate(D.matrix):
-            for j, c in enumerate(row):
-                if c:
-                    cols[j].append((k, c))
+        for (k, j), c in zip(block_coordinates(D.algebra, D.degree), D.vector):
+            if c:
+                cols[j].append((k, c))
         object.__setattr__(D, "_cols", cols)
     return cols
 
@@ -461,26 +467,27 @@ def _columns(D: GradedMap) -> list:
 def map_bracket(d1: GradedMap, d2: GradedMap) -> GradedMap:
     """d1 o d2 - eps(deg d1, deg d2) * d2 o d1, of degree deg d1 + deg d2.
 
-    Built in one grid from the nonzero entries of both maps.
+    Accumulated into the output block from the nonzero entries of both maps:
+    d1[k][l] * d2[l][j] != 0 puts (k, j) at degree deg d1 + deg d2.
     """
     if d1.algebra != d2.algebra:
         raise AlgebraMismatch("bracketing maps over different algebras")
     a = d1.algebra
     e = a.bichar.eps(d1.degree, d2.degree)
+    degree = d1.degree + d2.degree
     cols1, cols2 = _columns(d1), _columns(d2)
-    z = a.zero_scalar()
-    grid = [[z] * a.dim for _ in range(a.dim)]
+    pos = a.degree_table().positions
+    vec = [a.zero_scalar()] * len(block_coordinates(a, degree))
     for j in range(a.dim):
         # column j of d1 o d2 is sum_l d2[l][j] * (column l of d1)
         for l, b in cols2[j]:
             for k, c in cols1[l]:
-                grid[k][j] = grid[k][j] + c * b
+                vec[pos[k, j]] += c * b
         for l, b in cols1[j]:
             eb = e * b
             for k, c in cols2[l]:
-                grid[k][j] = grid[k][j] - c * eb
-    # d1[k][l] * d2[l][j] != 0 puts (k, j) at degree deg d1 + deg d2
-    return GradedMap._unchecked(a, d1.degree + d2.degree, grid)
+                vec[pos[k, j]] -= c * eb
+    return GradedMap.from_block_vector(a, degree, vec)
 
 
 @per_algebra
@@ -494,11 +501,12 @@ def _ad_factor(a: ColorAlgebra) -> tuple:
     combination of the ad(e_i) vanishes: the center is nonzero.
     """
     d = a.dim
-    rows = [
-        [c for row in x.matrix for c in row] + list(a.basis_vector(i))
+    rows = (
+        [(k * d + l, c) for (k, l), c in zip(block_coordinates(a, x.degree), x.vector) if c]
+        + [(d * d + i, a.one_scalar())]
         for i, x in enumerate(_ad_basis(a))
-    ]
-    span = Subspace.from_rows(d * d + d, rows, a.conductor)
+    )
+    span = Subspace._from_pairs(d * d + d, rows, a.conductor)
     pivots = span.pivots
     if pivots and pivots[-1] >= d * d:
         raise PreconditionFailed("ad is not injective: the center is nonzero")
@@ -513,17 +521,14 @@ def _solve_ad_preimage(a: ColorAlgebra, target: GradedMap) -> tuple:
     otherwise target lies outside ad(L) and NoSolution is raised.
     """
     coords, inverse = _ad_factor(a)
-    picked = [(s, target.matrix[k][l]) for s, (k, l) in enumerate(coords) if target.matrix[k][l]]
-    z = a.zero_scalar()
-    y = []
-    for i in range(a.dim):
-        acc = z
-        for s, t in picked:
-            c = inverse[s][i]
+    grid = target.matrix
+    picked = [(s, grid[k][l]) for s, (k, l) in enumerate(coords) if grid[k][l]]
+    y = [a.zero_scalar()] * a.dim
+    for s, t in picked:
+        for i, c in enumerate(inverse[s]):
             if c:
-                acc = acc + c * t
-        y.append(acc)
-    if any(tuple(r) != t for r, t in zip(_ad_grid(a, y), target.matrix)):
+                y[i] += c * t
+    if any(tuple(r) != t for r, t in zip(_ad_grid(a, y), grid)):
         raise NoSolution("target is outside ad(L)")
     return tuple(y)
 
@@ -594,23 +599,16 @@ def _pair_brackets(space: DerivationSpace) -> tuple:
     return grid
 
 
-def _compat_table(space: DerivationSpace) -> tuple:
-    """(B_p by p, compat misses by p), kept on the space; each p's misses are found on first read."""
-    if space._compat_table is None:
-        object.__setattr__(space, "_compat_table", (space.basis_maps(), {}))
-    return space._compat_table
-
-
 def _compat_misses(space: DerivationSpace, p: int) -> tuple:
     """The i with [B_p, ad e_i] != ad(B_p(e_i)), read off the derivation identity: i is a
     miss at the first j where B_p[e_i, e_j] - [B_p e_i, e_j] - eps(deg B_p, deg e_i)[e_i, B_p e_j],
     summed per output coordinate from the nonzero constants and columns of B_p, is nonzero.
     No map is bracketed. Where ad is injective (a zero center) there are no misses exactly
-    when delta(B_p) = B_p: ad(delta(B_p)(e_i)) = [B_p, ad e_i]."""
+    when delta(B_p) = B_p: ad(delta(B_p)(e_i)) = [B_p, ad e_i]. Kept on the space by p."""
     a = space.algebra
-    maps, misses = _compat_table(space)
+    misses = space._misses
     if p not in misses:
-        D = maps[p]
+        D = space.basis_maps()[p]
         cols, nz = _columns(D), a._nonzero_constants()
         found = []
         for i in range(a.dim):
@@ -725,7 +723,7 @@ def verify_nder_equals_der(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_
     center_dim = a.center().dim
     fixed = None
     if is_perfect and center_dim == 0 and a.check_axioms().ok:
-        maps = _compat_table(nder)[0]
+        maps = nder.basis_maps()
         fixed = all(not _compat_misses(nder, p) or delta(a, D, n) == D for p, D in enumerate(maps))
     return TheoremPart1Report(
         n=n,
@@ -811,20 +809,17 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     if None in ad_image_rows:
         raise NoSolution("an inner map of the base algebra escaped Der")
     ad_image = Subspace.from_rows(A.dim, ad_image_rows, A.conductor)
-    # the basis maps of Der, from whose nonzero columns witness targets are summed
-    der_maps = der.basis_maps()
-    z = a.zero_scalar()
+    # the nonzero block entries of Der's basis maps, from which witness targets are summed
+    der_pairs = [_pairs(B.vector) for B in der.basis_maps()]
 
-    def der_map(coeffs) -> GradedMap:
-        grid = [[z] * a.dim for _ in range(a.dim)]
-        degree = a.group.zero()
-        for p, c in enumerate(coeffs):
+    def der_map(coeffs, degree) -> GradedMap:
+        # D(ad e_i) has degree deg D + deg e_i, so its terms are basis maps of that degree
+        vec = [a.zero_scalar()] * len(block_coordinates(a, degree))
+        for c, pairs in zip(coeffs, der_pairs):
             if c:
-                degree = der_maps[p].degree
-                for l, col in enumerate(_columns(der_maps[p])):
-                    for k, v in col:
-                        grid[k][l] = grid[k][l] + c * v
-        return GradedMap(a, degree, grid)
+                for s, v in pairs:
+                    vec[s] += c * v
+        return GradedMap.from_block_vector(a, degree, vec)
 
     preserves = True
     witness_failures = []
@@ -834,8 +829,9 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
             if not ad_image.contains_vector(D.apply(row)):
                 preserves = False
         # witness d with D(ad x) = ad(d(x)) on all basis x
+        targets = (der_map(D.apply(row), D.degree + g) for row, g in zip(ad_image_rows, a.degrees))
         try:
-            d_grid = _ad_preimages(a, (der_map(D.apply(row)) for row in ad_image_rows))
+            d_grid = _ad_preimages(a, targets)
         except NoSolution:
             witness_failures.append(idx)
             witnesses.append(None)
@@ -916,7 +912,7 @@ def verify_inner_ideal(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     inner = inner_derivation_space(a)
     # with no compat miss at i, [B_p, ad e_i] = ad(B_p(e_i)) lies in ad(L)
     failures = [
-        (p, i) for p, D in enumerate(_compat_table(nder)[0]) for i in _compat_misses(nder, p)
+        (p, i) for p, D in enumerate(nder.basis_maps()) for i in _compat_misses(nder, p)
         if not inner.contains_map(map_bracket(D, _ad_basis(a)[i]))
     ]
     return InnerIdealReport(n=n, failures=failures)
@@ -952,7 +948,7 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
         if r:
             start = nder._offsets[gamma]
             # one ad(e_j) at a time, so no bracket is built once the rows reach rank r
-            maps = _compat_table(nder)[0][start:start + r]
+            maps = nder.basis_maps()[start:start + r]
             brackets = ([map_bracket(B, x) for B in maps] for x in _ad_basis(a))
             # the brackets with one ad(e_j) share the degree gamma + deg e_j
             rows = (row for bs in brackets for row in zip(*(B.block_vector() for B in bs)))
@@ -977,7 +973,7 @@ def verify_delta_membership(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     nder = n_derivation_space(a, n, max_n=max_n)
     lower = n_derivation_space(a, n - 1, max_n=max_n)
     failures = [
-        p for p, D in enumerate(_compat_table(nder)[0])
+        p for p, D in enumerate(nder.basis_maps())
         if not lower.contains_map(delta(a, D, n) if _compat_misses(nder, p) else D)
     ]
     return DeltaMembershipReport(n=n, failures=failures)

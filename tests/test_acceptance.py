@@ -174,8 +174,8 @@ def test_criterion_7_negative_controls():
         nder = n_derivation_space(ab, 3)
         assert der.total_dim == nder.total_dim == 4
         gamma = ab.group.zero()
-        assert der.block(gamma) == nder.block(gamma)
-        assert der.block(gamma) == Subspace.full(4, 1)
+        assert der.blocks[gamma] == nder.blocks[gamma]
+        assert der.blocks[gamma] == Subspace.full(4, 1)
 
     _criterion(7, "negative controls behave as stated", body)
 

@@ -62,7 +62,7 @@ def _reference_closure(a, n, trials, seed=0):
 
     def random_member():
         gamma = rng.choice(populated)
-        sub = nder.block(gamma)
+        sub = nder.blocks[gamma]
         vec = [CycloScalar.zero(m)] * sub.ambient_dim
         for row in sub.basis.entries:
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))

@@ -114,8 +114,9 @@ def test_blocks_cover_the_group_with_zero_off_the_support():
     assert len(support) == 7
     space = n_derivation_space(a, 2)
     assert [gamma for gamma, _ in space.walk()] == a.group.elements()
+    blocks = dict(space.walk())
     for gamma in a.group.elements():
-        assert (space.block(gamma).ambient_dim > 0) == (gamma in support), gamma
+        assert (blocks[gamma].ambient_dim > 0) == (gamma in support), gamma
     assert space.total_dim == 6
     assert all(is_n_derivation(a, D, 2) for D in space.basis_maps())
 
@@ -157,8 +158,9 @@ def test_space_from_an_unordered_dict_walks_in_group_order(name, monkeypatch):
 def _full_group_rows(s, t):
     # the comparison as it was made over a dict covering the whole group
     rows = []
+    s_blocks, t_blocks = dict(s.walk()), dict(t.walk())
     for gamma in s.algebra.group.elements():
-        x, y = s.block(gamma), t.block(gamma)
+        x, y = s_blocks[gamma], t_blocks[gamma]
         rows.append((list(gamma.residues), x.dim, y.dim, x == y))
     return rows, all(row[3] for row in rows)
 
@@ -172,7 +174,7 @@ def test_compare_blocks_matches_the_full_group_comparison():
     spaces = [
         der,
         inner_derivation_space(a),
-        DerivationSpace(a, 2, {populated[0]: der.block(populated[0])}),
+        DerivationSpace(a, 2, {populated[0]: der.blocks[populated[0]]}),
         DerivationSpace(a, 2, {
             gamma: Subspace.zero(sub.ambient_dim, m) for gamma, sub in der.blocks.items()
         }),
@@ -227,10 +229,10 @@ def test_nder_examples(algebras):
     nder3 = n_derivation_space(sl2, 3)
     assert der.total_dim == 3 and nder3.total_dim == 3
     gamma = sl2.group.zero()
-    assert der.block(gamma) == nder3.block(gamma)
+    assert der.blocks[gamma] == nder3.blocks[gamma]
     # for this perfect centerless algebra Der coincides with the inner space
     inner = inner_derivation_space(sl2)
-    assert der.block(gamma) == inner.block(gamma)
+    assert der.blocks[gamma] == inner.blocks[gamma]
 
     ab = algebras["abelian(2)"]
     assert n_derivation_space(ab, 3).total_dim == 4

@@ -4,24 +4,31 @@
 and certifies ad(y) = target exactly; the reference solves the full
 d*d x d coefficient system with ``MatrixExact.solve``. ``map_bracket``
 works on nonzero entries only; the reference is the textbook triple loop.
+A map is held as its degree and its block vector; the properties below
+check that layout against the d x d view ``matrix`` on every support
+degree of each catalog entry.
 """
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorlie import catalog
 from colorlie.algebra import ColorAlgebra
 from colorlie.derivations import (
     GradedMap,
+    _ad_basis,
     _solve_ad_preimage,
     ad,
+    block_coordinates,
     delta,
     map_bracket,
     n_derivation_space,
 )
-from colorlie.errors import NoSolution, PreconditionFailed
+from colorlie.errors import NoSolution, NotDivisible, ParseError, PreconditionFailed
 from colorlie.grading import Bicharacter, GradingGroup
 from colorlie.linalg import MatrixExact
 from colorlie.scalars import CycloScalar
@@ -163,11 +170,14 @@ def test_sparse_map_bracket_equals_dense_reference(name):
 @pytest.mark.parametrize("name", ("aff2", "colorSl2", "heis3", "osp12", "sl2", "abelian(2)", "abelian(3)"))
 @pytest.mark.parametrize("n", (2, 3))
 def test_unchecked_constructions_pass_the_public_support_check(name, n):
-    # map_bracket and from_block_vector skip the support check; every map
-    # they build must still be accepted by GradedMap(...) unchanged
+    # map_bracket, from_block_vector and _ad_basis skip the support check;
+    # every map they build must still be accepted by GradedMap(...) unchanged
     a = catalog.get(name)
     rng = random.Random(f"{name}:{n}")
-    maps = n_derivation_space(a, n).basis_maps()
+    for i, x in enumerate(_ad_basis(a)):
+        y = ad(a, a.basis_vector(i))
+        assert x.degree == y.degree and x.matrix == y.matrix, (name, i)
+    maps = n_derivation_space(a, n).basis_maps() + list(_ad_basis(a))
     for gamma, coords in a.degree_table().blocks.items():
         vec = [a.scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in coords]
         maps.append(GradedMap.from_block_vector(a, gamma, vec))
@@ -175,3 +185,71 @@ def test_unchecked_constructions_pass_the_public_support_check(name, n):
     for D in built:
         checked = GradedMap(a, D.degree, D.matrix)
         assert checked.degree == D.degree and checked.matrix == D.matrix, (name, n)
+
+
+def test_constructor_coerces_entries_through_the_algebra():
+    sl2 = catalog.get("sl2")
+    zero = sl2.group.zero()
+    half = sl2.scalar(Fraction(1, 2))
+    D = GradedMap(sl2, zero, [["1/2", 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert not D.is_zero()
+    assert all(isinstance(c, CycloScalar) for row in D.matrix for c in row)
+    assert D.block_vector()[0] == half
+    assert D.apply(sl2.basis_vector(0)) == (half, sl2.zero_scalar(), sl2.zero_scalar())
+    assert not n_derivation_space(sl2, 2).contains_map(D)
+    assert GradedMap(sl2, zero, [[0] * 3] * 3).is_zero()
+    with pytest.raises(ParseError):
+        GradedMap(sl2, zero, [["1/", 0, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(NotDivisible):
+        GradedMap(sl2, zero, [[CycloScalar.root(3), 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
+@cache
+def _cached(name):
+    return _algebra(name)
+
+
+@st.composite
+def _block_vectors(draw, a, gamma):
+    # mostly zero entries, the rest small rationals times a root of unity
+    m = a.conductor
+    entry = st.one_of(
+        st.just(a.zero_scalar()),
+        st.builds(
+            lambda p, q, k: a.scalar(Fraction(p, q)) * CycloScalar.root(m, k),
+            st.integers(-3, 3), st.integers(1, 3), st.integers(0, m - 1),
+        ),
+    )
+    size = len(block_coordinates(a, gamma))
+    return draw(st.lists(entry, min_size=size, max_size=size))
+
+
+@st.composite
+def _maps(draw):
+    a = _cached(draw(st.sampled_from(CATALOG + ("torus3",))))
+    support = list(a.degree_table().blocks)
+    g1, g2 = draw(st.sampled_from(support)), draw(st.sampled_from(support))
+    vec1, vec2 = draw(_block_vectors(a, g1)), draw(_block_vectors(a, g2))
+    v = draw(st.lists(st.integers(-2, 2).map(a.scalar), min_size=a.dim, max_size=a.dim))
+    return a, (g1, vec1), (g2, vec2), tuple(v)
+
+
+@settings(deadline=None)
+@given(case=_maps())
+def test_block_layout_agrees_with_the_dense_view(case):
+    a, (g1, vec1), (g2, vec2), v = case
+    d1 = GradedMap.from_block_vector(a, g1, vec1)
+    d2 = GradedMap.from_block_vector(a, g2, vec2)
+    for D, g, vec in ((d1, g1, vec1), (d2, g2, vec2)):
+        grid = D.matrix
+        assert GradedMap(a, g, grid) == D
+        assert D.block_vector() == tuple(vec)
+        dense = tuple(
+            sum((grid[k][j] * v[j] for j in range(a.dim)), a.zero_scalar()) for k in range(a.dim)
+        )
+        assert D.apply(v) == dense
+    got, ref = map_bracket(d1, d2), _dense_bracket(d1, d2)
+    assert got.degree == ref.degree and got == ref and got.matrix == ref.matrix
+    if g1 != g2:
+        assert GradedMap.zero(a, g1) == GradedMap.zero(a, g2)
+        assert (d1 == d2) == (d1.is_zero() and d2.is_zero())

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import product
 
-from .algebra import ColorAlgebra, per_algebra
+from .algebra import ColorAlgebra, _coerce_scalar, per_algebra
 from .errors import (
     AlgebraMismatch,
     BadArity,
@@ -73,14 +73,15 @@ class GradedMap:
     ``vector`` lists the entries at ``block_coordinates(algebra, degree)`` in
     canonical order; every other entry is zero. ``matrix`` is the d x d view,
     built on each read, in which M[k][j] is the e_k coefficient of D(e_j).
-    The public constructor takes such a grid, coerces its entries through
-    ``algebra.scalar`` and rejects a nonzero entry outside the degree block.
+    The public constructor takes such a grid, coerces its entries as
+    ``algebra.scalar`` does and rejects a nonzero entry outside the degree block.
     """
 
     __slots__ = ("algebra", "degree", "vector", "_cols")
 
     def __init__(self, algebra: ColorAlgebra, degree: GroupElement, matrix):
-        matrix = [[algebra.scalar(c) for c in row] for row in matrix]
+        m = algebra.conductor
+        matrix = [[_coerce_scalar(c, m) for c in row] for row in matrix]
         d = algebra.dim
         if len(matrix) != d or any(len(row) != d for row in matrix):
             raise ValueError(f"matrix must be {d}x{d}")
@@ -95,8 +96,10 @@ class GradedMap:
         self._hold(algebra, degree, tuple(matrix[k][j] for k, j in coords))
 
     def _hold(self, algebra: ColorAlgebra, degree: GroupElement, vector: tuple) -> None:
-        for name, value in zip(GradedMap.__slots__, (algebra, degree, vector, None)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "_cols", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
@@ -175,16 +178,12 @@ def _ad_grid(a: ColorAlgebra, x) -> list:
 
 @per_algebra
 def _ad_basis(a: ColorAlgebra) -> tuple:
-    """ad(e_i) for every basis index i. A clean grading scan puts it in the degree-deg e_i
-    block, read off its grid unchecked; else ValueError names the first misplaced constant."""
+    """ad(e_i) for every basis index i; a failed grading scan raises a located ValueError."""
     scan = a._grading_scan()
     if scan:
         i, j, k = scan[0]
         raise ValueError(f"the grading fails at c[{i}][{j}][{k}], so ad({a.names[i]}) is not homogeneous")
-    return tuple(
-        GradedMap.from_block_vector(a, g, [grid[k][j] for k, j in block_coordinates(a, g)])
-        for g, grid in zip(a.degrees, (_ad_grid(a, a.basis_vector(i)) for i in range(a.dim)))
-    )
+    return tuple(ad(a, a.basis_vector(i)) for i in range(a.dim))
 
 
 @cache
@@ -608,7 +607,8 @@ def _compat_misses(space: DerivationSpace, p: int) -> tuple:
     a = space.algebra
     misses = space._misses
     if p not in misses:
-        D = space.basis_maps()[p]
+        # basis_maps() builds the kept maps on first call; index them without a copy
+        D = (space._maps or space.basis_maps())[p]
         cols, nz = _columns(D), a._nonzero_constants()
         found = []
         for i in range(a.dim):
@@ -942,14 +942,14 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
     if not a.is_perfect():
         raise PreconditionFailed("centralizer check needs a perfect algebra")
     nder = n_derivation_space(a, n, max_n=max_n)
+    maps = nder.basis_maps()
     dims = []
     for gamma, sub in nder.walk():
         r = dim = sub.dim
         if r:
             start = nder._offsets[gamma]
             # one ad(e_j) at a time, so no bracket is built once the rows reach rank r
-            maps = nder.basis_maps()[start:start + r]
-            brackets = ([map_bracket(B, x) for B in maps] for x in _ad_basis(a))
+            brackets = ([map_bracket(B, x) for B in maps[start:start + r]] for x in _ad_basis(a))
             # the brackets with one ad(e_j) share the degree gamma + deg e_j
             rows = (row for bs in brackets for row in zip(*(B.block_vector() for B in bs)))
             dim = kernel_from_rows(rows, r, a.conductor).dim

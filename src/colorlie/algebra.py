@@ -28,8 +28,9 @@ from .scalars import CycloScalar, parse_scalar
 def per_algebra(fn):
     """Keep fn(a, *args) in ``a._cache`` under (fn, *args); a call that raises keeps nothing.
 
-    The key holds the undecorated ``fn``, so it does not change when the
-    decorated name is rebound.
+    ``a`` is any object that holds a ``_cache`` dict: an algebra, or a
+    derivation space. The key holds the undecorated ``fn``, so it does not
+    change when the decorated name is rebound.
     """
 
     @wraps(fn)

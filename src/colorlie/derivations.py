@@ -12,9 +12,11 @@ D, spaces are computed as direct sums of homogeneous blocks, one per
 degree of the (finite) grading group; the full space is the span of the
 blocks. A degree-gamma map can be nonzero only at coordinates (k, j) with
 deg e_k - deg e_j = gamma, its block: a ``GradedMap`` holds only the block's
-entries, and its d x d ``matrix`` is a view built on read. Only the degrees
-of that support (at most d*d, read from ``ColorAlgebra.degree_table``) get
-a linear system; every other degree holds the zero space.
+entries. ``ad`` and the ad-preimages of ``delta`` and part 2 are built and
+certified on blocks; the d x d ``matrix`` view, built on read, is read here
+only for part 2's witness strings. Only the degrees of the support (at most
+d*d, read from ``ColorAlgebra.degree_table``) get a linear system; every
+other degree holds the zero space.
 
 Two independent routes exist on purpose: ``n_derivation_space`` assembles
 one linear system per degree and takes its kernel, while
@@ -158,22 +160,24 @@ class GradedMap:
 
 
 def ad(a: ColorAlgebra, x) -> GradedMap:
-    """The inner map y -> [x, y]; requires x homogeneous (NonHomogeneous otherwise)."""
-    return GradedMap(a, a.degree_of(x), _ad_grid(a, x))
+    """The inner map y -> [x, y]; requires x homogeneous (NonHomogeneous otherwise).
 
-
-def _ad_grid(a: ColorAlgebra, x) -> list:
-    # the matrix of ad x for any x, read off the nonzero constants
-    d = a.dim
-    z = a.zero_scalar()
-    grid = [[z] * d for _ in range(d)]
+    Summed on its block from the nonzero constants. A term off the block raises
+    ValueError ("block support"); on a mis-graded algebra that now includes an x
+    whose misplaced terms cancel, which the summed d x d grid let pass.
+    """
+    degree = a.degree_of(x)
+    table = a.degree_table()
+    vec = [a.zero_scalar()] * len(block_coordinates(a, degree))
     nz = a._nonzero_constants()
     for i, xi in enumerate(x):
         if xi:
-            for j in range(d):
+            for j in range(a.dim):
                 for k, c in nz[i][j]:
-                    grid[k][j] = grid[k][j] + xi * c
-    return grid
+                    if table.differences[k][j] != degree:
+                        raise ValueError(f"entry ({k}, {j}) violates the degree-{degree} block support")
+                    vec[table.positions[k, j]] += xi * c
+    return GradedMap.from_block_vector(a, degree, vec)
 
 
 @per_algebra
@@ -205,10 +209,10 @@ class DerivationSpace:
     degree by degree, and ``coordinates(D)`` gives D's coefficients in that
     order, or None when D lies outside the space. The basis maps, the brackets
     of their pairs in those coordinates, and their compat misses are built once
-    and kept (``_maps``, ``_pair_brackets``, ``_misses``).
+    and kept in ``_cache`` (``per_algebra``).
     """
 
-    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_maps", "_pair_brackets", "_misses")
+    __slots__ = ("algebra", "n", "blocks", "total_dim", "_offsets", "_cache")
 
     def __init__(self, algebra: ColorAlgebra, n: int, blocks: dict):
         empty = _empty_block(algebra.conductor)
@@ -225,9 +229,7 @@ class DerivationSpace:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "total_dim", total)
         object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_maps", None)
-        object.__setattr__(self, "_pair_brackets", None)
-        object.__setattr__(self, "_misses", {})
+        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("DerivationSpace is immutable")
@@ -250,13 +252,7 @@ class DerivationSpace:
 
     def basis_maps(self) -> list:
         """Every block-basis vector as a GradedMap, in canonical order; built once, listed afresh."""
-        if self._maps is None:
-            maps = tuple(
-                GradedMap.from_block_vector(self.algebra, gamma, row)
-                for gamma, sub in self.blocks.items() for row in sub.basis.entries
-            )
-            object.__setattr__(self, "_maps", maps)
-        return list(self._maps)
+        return list(_basis_maps(self))
 
     def coordinates(self, D: GradedMap):
         """D's coefficients over ``basis_maps()``, or None when D is outside the space."""
@@ -277,6 +273,15 @@ class DerivationSpace:
     def __repr__(self):
         dims = {gamma.residues: sub.dim for gamma, sub in self.walk()}
         return f"DerivationSpace(n={self.n}, dims={dims}, total={self.total_dim})"
+
+
+@per_algebra
+def _basis_maps(space: DerivationSpace) -> tuple:
+    # the kept basis maps, which the space's own readers index without a copy
+    return tuple(
+        GradedMap.from_block_vector(space.algebra, gamma, row)
+        for gamma, sub in space.blocks.items() for row in sub.basis.entries
+    )
 
 
 @per_algebra
@@ -515,28 +520,34 @@ def _ad_factor(a: ColorAlgebra) -> tuple:
 def _solve_ad_preimage(a: ColorAlgebra, target: GradedMap) -> tuple:
     """The unique y with ad(y) = target; needs a zero center (PreconditionFailed).
 
-    y is read off the cached factorization of ad at d coordinates, then
-    certified exactly: ad(y) must equal target at all d*d coordinates,
-    otherwise target lies outside ad(L) and NoSolution is raised.
+    y is read off the cached factorization of ad at d coordinates, taking the
+    target's entries from its block, then certified exactly: y must be
+    homogeneous and ad(y) must equal target as a graded map, otherwise target
+    lies outside ad(L) and NoSolution is raised.
     """
     coords, inverse = _ad_factor(a)
-    grid = target.matrix
-    picked = [(s, grid[k][l]) for s, (k, l) in enumerate(coords) if grid[k][l]]
+    table = a.degree_table()
     y = [a.zero_scalar()] * a.dim
-    for s, t in picked:
-        for i, c in enumerate(inverse[s]):
-            if c:
-                y[i] += c * t
-    if any(tuple(r) != t for r, t in zip(_ad_grid(a, y), grid)):
+    for s, (k, l) in enumerate(coords):
+        t = target.vector[table.positions[k, l]] if table.differences[k][l] == target.degree else 0
+        if t:
+            for i, c in enumerate(inverse[s]):
+                if c:
+                    y[i] += c * t
+    if not (a.is_homogeneous(y) and ad(a, y) == target):
         raise NoSolution("target is outside ad(L)")
     return tuple(y)
 
 
-def _ad_preimages(a: ColorAlgebra, targets) -> list:
-    """The d x d grid whose column j is the y with ad(y) = the j-th target.
+def _ad_preimages(a: ColorAlgebra, degree: GroupElement, targets) -> GradedMap:
+    """The degree-``degree`` map whose column j is the y with ad(y) = the j-th target.
 
     Targets are taken one at a time, so none is built after a failing
-    column; NoSolution names that column.
+    column; NoSolution names that column. The j-th target has degree
+    ``degree`` + deg e_j; with a zero center (``_ad_factor`` raises otherwise)
+    a certified y, homogeneous with ad(y) = target, is zero or of that degree,
+    as a part of another degree would be central. So column j lies in the
+    block; the grid constructor still checks that once per map.
     """
     columns = []
     for j, target in enumerate(targets):
@@ -544,7 +555,7 @@ def _ad_preimages(a: ColorAlgebra, targets) -> list:
             columns.append(_solve_ad_preimage(a, target))
         except NoSolution as exc:
             raise NoSolution(f"the target for e_{j} fell outside ad(L)") from exc
-    return [list(row) for row in zip(*columns)]
+    return GradedMap(a, degree, zip(*columns))
 
 
 def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:
@@ -563,10 +574,10 @@ def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:
         raise PreconditionFailed("delta needs a perfect algebra")
     if a.center().dim != 0:
         raise PreconditionFailed("delta needs a zero center")
-    grid = _ad_preimages(a, (map_bracket(D, x) for x in _ad_basis(a)))
-    return GradedMap(a, D.degree, grid)
+    return _ad_preimages(a, D.degree, (map_bracket(D, x) for x in _ad_basis(a)))
 
 
+@per_algebra
 def _pair_brackets(space: DerivationSpace) -> tuple:
     """Coordinates of [B_p, B_q] over ``space.basis_maps()`` for every pair of
     basis maps, None where the bracket escapes the space; built once per space.
@@ -576,28 +587,25 @@ def _pair_brackets(space: DerivationSpace) -> tuple:
     and the two escape together. A zero bracket needs no solve: both entries
     get one shared zero tuple.
     """
-    grid = space._pair_brackets
-    if grid is None:
-        maps = space.basis_maps()
-        r = len(maps)
-        grid = [[None] * r for _ in range(r)]
-        eps = space.algebra.bichar.eps
-        zero = (space.algebra.zero_scalar(),) * r
-        for p in range(r):
-            for q in range(p, r):
-                bracket = map_bracket(maps[p], maps[q])
-                if bracket.is_zero():
-                    grid[p][q] = grid[q][p] = zero
-                    continue
-                coords = grid[p][q] = space.coordinates(bracket)
-                if coords is not None and q > p:
-                    e = -eps(maps[q].degree, maps[p].degree)
-                    grid[q][p] = tuple(e * c if c else c for c in coords)
-        grid = tuple(map(tuple, grid))
-        object.__setattr__(space, "_pair_brackets", grid)
-    return grid
+    maps = _basis_maps(space)
+    r = len(maps)
+    grid = [[None] * r for _ in range(r)]
+    eps = space.algebra.bichar.eps
+    zero = (space.algebra.zero_scalar(),) * r
+    for p in range(r):
+        for q in range(p, r):
+            bracket = map_bracket(maps[p], maps[q])
+            if bracket.is_zero():
+                grid[p][q] = grid[q][p] = zero
+                continue
+            coords = grid[p][q] = space.coordinates(bracket)
+            if coords is not None and q > p:
+                e = -eps(maps[q].degree, maps[p].degree)
+                grid[q][p] = tuple(e * c if c else c for c in coords)
+    return tuple(map(tuple, grid))
 
 
+@per_algebra
 def _compat_misses(space: DerivationSpace, p: int) -> tuple:
     """The i with [B_p, ad e_i] != ad(B_p(e_i)), read off the derivation identity: i is a
     miss at the first j where B_p[e_i, e_j] - [B_p e_i, e_j] - eps(deg B_p, deg e_i)[e_i, B_p e_j],
@@ -605,27 +613,23 @@ def _compat_misses(space: DerivationSpace, p: int) -> tuple:
     No map is bracketed. Where ad is injective (a zero center) there are no misses exactly
     when delta(B_p) = B_p: ad(delta(B_p)(e_i)) = [B_p, ad e_i]. Kept on the space by p."""
     a = space.algebra
-    misses = space._misses
-    if p not in misses:
-        # basis_maps() builds the kept maps on first call; index them without a copy
-        D = (space._maps or space.basis_maps())[p]
-        cols, nz = _columns(D), a._nonzero_constants()
-        found = []
-        for i in range(a.dim):
-            e, nzi = -a.bichar.eps(D.degree, a.degrees[i]), nz[i]
-            image = [(-b, nz[l]) for l, b in cols[i]]
-            for j in range(a.dim):
-                terms = [(c, cols[l]) for l, c in nzi[j]] + [(b, nzl[j]) for b, nzl in image]
-                acc = {}
-                for s, pairs in terms + [(e * b, nzi[l]) for l, b in cols[j] if nzi[l]]:
-                    for k, c in pairs:
-                        v = s * c
-                        acc[k] = acc[k] + v if k in acc else v
-                if any(acc.values()):
-                    found.append(i)
-                    break
-        misses[p] = tuple(found)
-    return misses[p]
+    D = _basis_maps(space)[p]
+    cols, nz = _columns(D), a._nonzero_constants()
+    found = []
+    for i in range(a.dim):
+        e, nzi = -a.bichar.eps(D.degree, a.degrees[i]), nz[i]
+        image = [(-b, nz[l]) for l, b in cols[i]]
+        for j in range(a.dim):
+            terms = [(c, cols[l]) for l, c in nzi[j]] + [(b, nzl[j]) for b, nzl in image]
+            acc = {}
+            for s, pairs in terms + [(e * b, nzi[l]) for l, b in cols[j] if nzi[l]]:
+                for k, c in pairs:
+                    v = s * c
+                    acc[k] = acc[k] + v if k in acc else v
+            if any(acc.values()):
+                found.append(i)
+                break
+    return tuple(found)
 
 
 def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAlgebra:
@@ -831,18 +835,13 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
         # witness d with D(ad x) = ad(d(x)) on all basis x
         targets = (der_map(D.apply(row), D.degree + g) for row, g in zip(ad_image_rows, a.degrees))
         try:
-            d_grid = _ad_preimages(a, targets)
+            d_map = _ad_preimages(a, D.degree, targets)
         except NoSolution:
             witness_failures.append(idx)
             witnesses.append(None)
             continue
-        witnesses.append([[str(c) for c in row] for row in d_grid])
+        witnesses.append([[str(c) for c in row] for row in d_map.matrix])
         # the witness must itself be a derivation of the base algebra
-        try:
-            d_map = GradedMap(a, D.degree, d_grid)
-        except ValueError:
-            witness_failures.append(idx)
-            continue
         if not der.contains_map(d_map):
             witness_failures.append(idx)
 
@@ -942,7 +941,7 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
     if not a.is_perfect():
         raise PreconditionFailed("centralizer check needs a perfect algebra")
     nder = n_derivation_space(a, n, max_n=max_n)
-    maps = nder.basis_maps()
+    maps = _basis_maps(nder)
     dims = []
     for gamma, sub in nder.walk():
         r = dim = sub.dim

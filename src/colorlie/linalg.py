@@ -11,10 +11,12 @@ Elimination runs on sparse rows: a row is a list of (column, value) pairs
 with strictly increasing columns and nonzero values only, and ``[]`` is the
 zero row. Rows stay sparse from the constraint systems through ``_rref_rows``
 to the kernel vectors, where most entries are zero. Rows go dense only at
-the boundary: ``_rref_rows`` returns dense reduced rows, which
-``MatrixExact`` and ``Subspace`` hold, and the public entry points
-(``kernel_from_rows``, ``Subspace.from_rows``, the ``MatrixExact`` methods)
-take dense rows and pass each through ``_pairs``.
+the boundary: ``_rref_rows`` returns dense reduced rows, which a
+``Subspace`` holds as a ``MatrixExact``, and the public entry points
+(``kernel_from_rows``, ``Subspace.from_rows``, ``MatrixExact.solve``) take
+dense rows and pass each through ``_pairs``. ``MatrixExact`` is only that
+grid plus ``solve``, a dense reference; rank, reduced forms and kernels are
+read off a ``Subspace`` or ``kernel_from_rows``.
 """
 
 from __future__ import annotations
@@ -105,38 +107,6 @@ class MatrixExact:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixExact is immutable")
 
-    @staticmethod
-    def from_rationals(rows, conductor: int = 1, cols: int | None = None) -> "MatrixExact":
-        return MatrixExact(
-            conductor,
-            [[CycloScalar.from_rational(e, conductor) for e in row] for row in rows],
-            cols=cols,
-        )
-
-    @staticmethod
-    def zero(rows: int, cols: int, conductor: int = 1) -> "MatrixExact":
-        z = CycloScalar.zero(conductor)
-        return MatrixExact(conductor, [[z] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
-    def identity(n: int, conductor: int = 1) -> "MatrixExact":
-        z, o = CycloScalar.zero(conductor), CycloScalar.one(conductor)
-        return MatrixExact(
-            conductor, [[o if i == j else z for j in range(n)] for i in range(n)]
-        )
-
-    def rref(self) -> "MatrixExact":
-        reduced, _ = _rref_rows(map(_pairs, self.entries), self.cols)
-        return MatrixExact(self.conductor, reduced, cols=self.cols)
-
-    def rank(self) -> int:
-        _, pivots = _rref_rows(map(_pairs, self.entries), self.cols)
-        return len(pivots)
-
-    def kernel(self) -> "Subspace":
-        """Canonical basis of the right null space {v : self @ v = 0}."""
-        return kernel_from_rows(self.entries, self.cols, self.conductor)
-
     def solve(self, b) -> tuple:
         """One particular solution of self @ x = b (free variables zero).
 
@@ -154,20 +124,6 @@ class MatrixExact:
         for prow, pc in zip(reduced, pivots):
             x[pc] = prow[-1]
         return tuple(x)
-
-    def matvec(self, v) -> tuple:
-        v = tuple(v)
-        if len(v) != self.cols:
-            raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
-        z = CycloScalar.zero(self.conductor)
-        out = []
-        for row in self.entries:
-            acc = z
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
 
     def __eq__(self, other):
         return (
@@ -214,9 +170,8 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int, conductor: int = 1) -> "Subspace":
-        return Subspace(
-            ambient_dim, MatrixExact.identity(ambient_dim, conductor), range(ambient_dim)
-        )
+        one = CycloScalar.one(conductor)
+        return Subspace._from_pairs(ambient_dim, ([(i, one)] for i in range(ambient_dim)), conductor)
 
     @property
     def dim(self) -> int:
@@ -239,17 +194,13 @@ class Subspace:
         p, q = self.dim, other.dim
         n = self.ambient_dim
         a, b = self.basis.entries, other.basis.entries
-        stacked = MatrixExact(
-            self.conductor,
-            [
-                [a[i][r] for i in range(p)] + [-b[j][r] for j in range(q)]
-                for r in range(n)
-            ],
-            cols=p + q,
+        stacked = (
+            [a[i][r] for i in range(p)] + [-b[j][r] for j in range(q)]
+            for r in range(n)
         )
         z = CycloScalar.zero(self.conductor)
         vectors = []
-        for kv in stacked.kernel().basis.entries:
+        for kv in kernel_from_rows(stacked, p + q, self.conductor).basis.entries:
             v = [z] * n
             for i in range(p):
                 if kv[i]:

@@ -168,6 +168,8 @@ class ColorAlgebra:
 
     def degree_of(self, v) -> GroupElement:
         """Degree of a homogeneous vector; zero vector counts as degree 0."""
+        if len(v) != self.dim:
+            raise DimensionMismatch(f"vector length {len(v)} != dim {self.dim}")
         deg = None
         for i, c in enumerate(v):
             if c:

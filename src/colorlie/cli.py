@@ -21,7 +21,6 @@ from functools import cache
 from . import catalog
 from .derivations import (
     DEFAULT_MAX_N,
-    GradedMap,
     n_derivation_space,
     verify_ad_compat,
     verify_centralizer_trivial,
@@ -145,11 +144,12 @@ def _cmd_invariants(a, args, report, lines):
 def _cmd_der(a, args, report, lines):
     space = n_derivation_space(a, args.n, max_n=args.max_n)
     blocks = []
+    # basis_maps() lists one map per block row, blocks in walk() order
+    maps = iter(space.basis_maps())
     for gamma, sub in space.walk():
         basis = [
-            [[format_scalar(c) for c in row] for row in
-             GradedMap.from_block_vector(a, gamma, vec).matrix]
-            for vec in sub.basis.entries
+            [[format_scalar(c) for c in row] for row in next(maps).matrix]
+            for _ in sub.rows
         ]
         blocks.append(
             {"degree": list(gamma.residues), "dim": sub.dim, "basis_maps": basis}

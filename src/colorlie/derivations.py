@@ -49,12 +49,13 @@ from .algebra import ColorAlgebra, _coerce_scalar, per_algebra
 from .errors import (
     AlgebraMismatch,
     BadArity,
+    DimensionMismatch,
     NoSolution,
     NotClosed,
     PreconditionFailed,
 )
 from .grading import GroupElement
-from .linalg import Subspace, _kernel_from_pairs, _pairs, kernel_from_rows
+from .linalg import Subspace, _kernel_from_pairs, kernel_from_rows
 from .scalars import CycloScalar
 
 DEFAULT_MAX_N = 4
@@ -121,6 +122,8 @@ class GradedMap:
         return tuple(map(tuple, grid))
 
     def apply(self, v) -> tuple:
+        if len(v) != self.algebra.dim:
+            raise DimensionMismatch(f"vector length {len(v)} != dim {self.algebra.dim}")
         out = [self.algebra.zero_scalar()] * self.algebra.dim
         for vj, col in zip(v, _columns(self)):
             if vj:
@@ -409,9 +412,8 @@ def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
         if not inner.dim:
             blocks[gamma] = rest
             continue
-        vectors = [_pairs(row) for row in inner.basis.entries]
-        vectors += ([(free[col], c) for col, c in _pairs(row)] for row in rest.basis.entries)
-        blocks[gamma] = Subspace._from_pairs(len(coords), vectors, m)
+        shifted = ([(free[col], c) for col, c in row] for row in rest.rows)
+        blocks[gamma] = Subspace._from_pairs(len(coords), (*inner.rows, *shifted), m)
     return DerivationSpace(a, n, blocks)
 
 
@@ -511,10 +513,10 @@ def _ad_factor(a: ColorAlgebra) -> tuple:
         for i, x in enumerate(_ad_basis(a))
     )
     span = Subspace._from_pairs(d * d + d, rows, a.conductor)
-    pivots = span.pivots
-    if pivots and pivots[-1] >= d * d:
+    if span.pivots and span.pivots[-1] >= d * d:
         raise PreconditionFailed("ad is not injective: the center is nonzero")
-    return [divmod(p, d) for p in pivots], [row[d * d:] for row in span.basis.entries]
+    inverse = [[(j - d * d, c) for j, c in row if j >= d * d] for row in span.rows]
+    return [divmod(p, d) for p in span.pivots], inverse
 
 
 def _solve_ad_preimage(a: ColorAlgebra, target: GradedMap) -> tuple:
@@ -531,9 +533,8 @@ def _solve_ad_preimage(a: ColorAlgebra, target: GradedMap) -> tuple:
     for s, (k, l) in enumerate(coords):
         t = target.vector[table.positions[k, l]] if table.differences[k][l] == target.degree else 0
         if t:
-            for i, c in enumerate(inverse[s]):
-                if c:
-                    y[i] += c * t
+            for i, c in inverse[s]:
+                y[i] += c * t
     if not (a.is_homogeneous(y) and ad(a, y) == target):
         raise NoSolution("target is outside ad(L)")
     return tuple(y)
@@ -814,7 +815,7 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
         raise NoSolution("an inner map of the base algebra escaped Der")
     ad_image = Subspace.from_rows(A.dim, ad_image_rows, A.conductor)
     # the nonzero block entries of Der's basis maps, from which witness targets are summed
-    der_pairs = [_pairs(B.vector) for B in der.basis_maps()]
+    der_pairs = [row for sub in der.blocks.values() for row in sub.rows]
 
     def der_map(coeffs, degree) -> GradedMap:
         # D(ad e_i) has degree deg D + deg e_i, so its terms are basis maps of that degree
@@ -829,11 +830,11 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     witness_failures = []
     witnesses = []
     for idx, D in enumerate(nder_A.basis_maps()):
-        for row in ad_image.basis.entries:
-            if not ad_image.contains_vector(D.apply(row)):
-                preserves = False
+        # D keeps ad(L) when it maps each spanning ad(e_i) into it
+        images = [D.apply(row) for row in ad_image_rows]
+        preserves &= all(map(ad_image.contains_vector, images))
         # witness d with D(ad x) = ad(d(x)) on all basis x
-        targets = (der_map(D.apply(row), D.degree + g) for row, g in zip(ad_image_rows, a.degrees))
+        targets = (der_map(v, D.degree + g) for v, g in zip(images, a.degrees))
         try:
             d_map = _ad_preimages(a, D.degree, targets)
         except NoSolution:

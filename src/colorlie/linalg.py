@@ -9,14 +9,13 @@ their canonical bases are literally equal.
 
 Elimination runs on sparse rows: a row is a list of (column, value) pairs
 with strictly increasing columns and nonzero values only, and ``[]`` is the
-zero row. Rows stay sparse from the constraint systems through ``_rref_rows``
-to the kernel vectors, where most entries are zero. Rows go dense only at
-the boundary: ``_rref_rows`` returns dense reduced rows, which a
-``Subspace`` holds as a ``MatrixExact``, and the public entry points
-(``kernel_from_rows``, ``Subspace.from_rows``, ``MatrixExact.solve``) take
-dense rows and pass each through ``_pairs``. ``MatrixExact`` is only that
-grid plus ``solve``, a dense reference; rank, reduced forms and kernels are
-read off a ``Subspace`` or ``kernel_from_rows``.
+zero row. Rows stay sparse from the constraint systems to every stored
+basis: ``_rref_rows`` returns its reduced rows as tuples of pairs, and a
+``Subspace`` holds them. Rows go dense only at the edges: the public entry
+points (``kernel_from_rows``, ``Subspace.from_rows``, ``MatrixExact.solve``)
+pass each dense row through ``_pairs``, and ``Subspace.basis`` is a dense
+``MatrixExact`` view built on read. ``MatrixExact`` is only that grid plus
+``solve``, a dense reference; ranks and kernels are read off a ``Subspace``.
 """
 
 from __future__ import annotations
@@ -40,15 +39,15 @@ def _subtract(row, c, other):
 
 
 def _rref_rows(rows, cols):
-    """Reduce sparse rows; returns (dense reduced rows, pivot columns).
+    """Reduce sparse rows; returns (reduced rows, pivot columns).
 
     ``rows`` is an iterable of sparse rows over ``range(cols)``. Each is
     absorbed into a maintained reduced echelon set, held as one
     {column: value} dict of nonzero entries per pivot column, so at most
     ``cols`` rows stay live regardless of input length. The result is the
-    unique RREF of the row space, zero rows dropped, as dense rows in pivot
-    order. Once the rank reaches ``cols`` the RREF is the identity whatever
-    follows, so no further row is pulled from ``rows``.
+    unique RREF of the row space, zero rows dropped, as sparse tuples led by
+    (pivot, 1), in pivot order. Once the rank reaches ``cols`` the RREF is
+    the identity whatever follows, so no further row is pulled from ``rows``.
 
     The echelon set is fully reduced, so every echelon row is zero at the
     other pivots: an incoming row is reduced once by each pivot it holds,
@@ -76,13 +75,7 @@ def _rref_rows(rows, cols):
         echelon[lead] = work
         m = inv.conductor
     pivots = sorted(echelon)
-    reduced = []
-    for pc in pivots:
-        dense = [CycloScalar.zero(m)] * cols
-        dense[pc] = CycloScalar.one(m)
-        for j, v in echelon[pc].items():
-            dense[j] = v
-        reduced.append(dense)
+    reduced = tuple(((pc, CycloScalar.one(m)), *sorted(echelon[pc].items())) for pc in pivots)
     return reduced, pivots
 
 
@@ -122,7 +115,7 @@ class MatrixExact:
         z = CycloScalar.zero(self.conductor)
         x = [z] * self.cols
         for prow, pc in zip(reduced, pivots):
-            x[pc] = prow[-1]
+            x[pc] = prow[-1][1] if prow[-1][0] == self.cols else z
         return tuple(x)
 
     def __eq__(self, other):
@@ -137,19 +130,21 @@ class MatrixExact:
 
 
 class Subspace:
-    """A subspace of Q(zeta_m)^n held as its unique RREF basis, one vector per row.
+    """A subspace of Q(zeta_m)^n held as its unique RREF basis, one sparse row per vector.
 
-    ``pivots`` lists the pivot column of each basis row, in order, as the
-    elimination that built the basis found them.
+    ``rows`` are ``_rref_rows``'s reduced rows, each led by (pivot, 1),
+    ``pivots`` lists their pivot columns in order, and ``dim`` is their
+    number. ``basis`` is the dense ``MatrixExact`` view, built on each read.
     """
 
-    __slots__ = ("ambient_dim", "conductor", "basis", "pivots")
+    __slots__ = ("ambient_dim", "conductor", "rows", "pivots", "dim")
 
-    def __init__(self, ambient_dim: int, basis: MatrixExact, pivots):
+    def __init__(self, ambient_dim: int, rows, pivots, conductor: int):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "conductor", basis.conductor)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "dim", len(rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -161,12 +156,11 @@ class Subspace:
     @staticmethod
     def _from_pairs(ambient_dim: int, rows, conductor: int) -> "Subspace":
         # the span of sparse rows
-        reduced, pivots = _rref_rows(rows, ambient_dim)
-        return Subspace(ambient_dim, MatrixExact(conductor, reduced, cols=ambient_dim), pivots)
+        return Subspace(ambient_dim, *_rref_rows(rows, ambient_dim), conductor)
 
     @staticmethod
     def zero(ambient_dim: int, conductor: int = 1) -> "Subspace":
-        return Subspace(ambient_dim, MatrixExact(conductor, [], cols=ambient_dim), [])
+        return Subspace(ambient_dim, (), [], conductor)
 
     @staticmethod
     def full(ambient_dim: int, conductor: int = 1) -> "Subspace":
@@ -174,8 +168,14 @@ class Subspace:
         return Subspace._from_pairs(ambient_dim, ([(i, one)] for i in range(ambient_dim)), conductor)
 
     @property
-    def dim(self) -> int:
-        return self.basis.rows
+    def basis(self) -> MatrixExact:
+        """The basis rows as a dense grid, built on each read."""
+        z = CycloScalar.zero(self.conductor)
+        dense = [[z] * self.ambient_dim for _ in self.rows]
+        for vec, row in zip(dense, self.rows):
+            for j, c in row:
+                vec[j] = c
+        return MatrixExact(self.conductor, dense, cols=self.ambient_dim)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -185,28 +185,19 @@ class Subspace:
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        rows = list(self.basis.entries) + list(other.basis.entries)
-        return Subspace.from_rows(self.ambient_dim, rows, self.conductor)
+        return Subspace._from_pairs(self.ambient_dim, self.rows + other.rows, self.conductor)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Kernel-of-stacked-bases method: solve u*A = v*B over (u, v)."""
+        """Zassenhaus: the RREF of (u | u), u in self, and (w | 0), w in other,
+        over 2n columns has rows (0 | x) past column n; their x span the
+        intersection and are its RREF basis."""
         self._check_ambient(other)
-        p, q = self.dim, other.dim
         n = self.ambient_dim
-        a, b = self.basis.entries, other.basis.entries
-        stacked = (
-            [a[i][r] for i in range(p)] + [-b[j][r] for j in range(q)]
-            for r in range(n)
-        )
-        z = CycloScalar.zero(self.conductor)
-        vectors = []
-        for kv in kernel_from_rows(stacked, p + q, self.conductor).basis.entries:
-            v = [z] * n
-            for i in range(p):
-                if kv[i]:
-                    v = [x + kv[i] * y for x, y in zip(v, a[i])]
-            vectors.append(v)
-        return Subspace.from_rows(n, vectors, self.conductor)
+        stacked = [u + tuple((n + j, c) for j, c in u) for u in self.rows] + list(other.rows)
+        reduced, pivots = _rref_rows(stacked, 2 * n)
+        k = sum(pc < n for pc in pivots)
+        rows = tuple(tuple((j - n, c) for j, c in row) for row in reduced[k:])
+        return Subspace(n, rows, [pc - n for pc in pivots[k:]], self.conductor)
 
     def coordinates_of(self, vector):
         """Coefficients of ``vector`` over the RREF basis, or None if outside."""
@@ -216,13 +207,12 @@ class Subspace:
                 f"vector length {len(vec)} != ambient {self.ambient_dim}"
             )
         coeffs = []
-        for row, pc in zip(self.basis.entries, self.pivots):
+        for row, pc in zip(self.rows, self.pivots):
             c = vec[pc]
             coeffs.append(c)
             if c:
-                for j, y in enumerate(row):
-                    if y:
-                        vec[j] = vec[j] - c * y
+                for j, y in row:
+                    vec[j] = vec[j] - c * y
         if any(vec):
             return None
         return coeffs
@@ -231,13 +221,12 @@ class Subspace:
         return self.coordinates_of(vector) is not None
 
     def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains_vector(row) for row in other.basis.entries)
+        return self.sum(other).dim == self.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim}, m={self.conductor})"
@@ -253,15 +242,13 @@ def kernel_from_rows(rows, cols: int, conductor: int) -> Subspace:
 
 
 def _kernel_from_pairs(rows, cols: int, conductor: int) -> Subspace:
-    # kernel_from_rows on sparse rows; the basis vector of a free column f
-    # is e_f - sum of prow[f] e_pc over the pivot rows, built sparse
+    # kernel_from_rows on sparse rows; the basis vector of a free column f is
+    # e_f - sum of prow[f] e_pc, scattered from each row's entries past its pivot
     reduced, pivots = _rref_rows(rows, cols)
+    taken = set(pivots)
+    vectors = {f: [] for f in range(cols) if f not in taken}
+    for (pc, _), *rest in reduced:
+        for j, v in rest:
+            vectors[j].append((pc, -v))
     one = CycloScalar.one(conductor)
-    pivot_set = set(pivots)
-    vectors = []
-    for f in range(cols):
-        if f not in pivot_set:
-            v = [(pc, -prow[f]) for prow, pc in zip(reduced, pivots) if prow[f]]
-            v.append((f, one))
-            vectors.append(v)
-    return Subspace._from_pairs(cols, vectors, conductor)
+    return Subspace._from_pairs(cols, (v + [(f, one)] for f, v in vectors.items()), conductor)

@@ -102,6 +102,18 @@ def test_bracket_dimension_mismatch(algebras):
         algebras["sl2"].bracket((CycloScalar.one(),), algebras["sl2"].zero_vector())
 
 
+@pytest.mark.parametrize("length", [1, 4])
+def test_degree_of_rejects_a_vector_of_the_wrong_length(algebras, length):
+    # a short vector must not read its missing entries as zero, nor a long one
+    # end in a bare IndexError
+    sl2 = algebras["sl2"]
+    v = (CycloScalar.one(),) * length
+    with pytest.raises(DimensionMismatch):
+        sl2.degree_of(v)
+    with pytest.raises(DimensionMismatch):
+        sl2.is_homogeneous(v)
+
+
 def test_left_normed_bracket(algebras):
     sl2 = algebras["sl2"]
     e, h, f = (sl2.basis_vector(i) for i in range(3))

@@ -100,7 +100,8 @@ def _rows_then_raise(rows):
 def test_rref_stops_pulling_at_full_rank():
     rows = M([[0, 2], [1, 1]]).entries
     reduced, pivots = _rref_rows(_rows_then_raise(map(_pairs, rows)), 2)
-    assert MatrixExact(1, reduced) == _identity(2) and pivots == [0, 1]
+    one = CycloScalar.one()
+    assert reduced == (((0, one),), ((1, one),)) and pivots == [0, 1]
     # the dense entry point is just as lazy
     assert kernel_from_rows(_rows_then_raise(rows), 2, 1).dim == 0
     # below full rank every row is read, so the generator's error surfaces
@@ -267,7 +268,9 @@ def _sparse_systems(draw):
 @given(_sparse_systems())
 def test_sparse_elimination_equals_dense_reference(system):
     m, cols, rows = system
-    assert _rref_rows([_pairs(row) for row in rows], cols) == _dense_rref_rows(rows, cols)
+    reduced, pivots = _dense_rref_rows(rows, cols)
+    sparse = tuple(tuple(_pairs(row)) for row in reduced)
+    assert _rref_rows([_pairs(row) for row in rows], cols) == (sparse, pivots)
     assert kernel_from_rows(rows, cols, m).basis.entries == tuple(
         tuple(r) for r in _dense_kernel(rows, cols, m)
     )
@@ -315,6 +318,44 @@ def test_subspace_pivots_are_the_leading_columns(system, data):
         Subspace.zero(cols, m),
         Subspace.full(cols, m),
     )
+    one = CycloScalar.one(m)
     for space in spaces:
-        leading = [next(j for j, a in enumerate(row) if a) for row in space.basis.entries]
+        basis = space.basis.entries
+        leading = [next(j for j, a in enumerate(row) if a) for row in basis]
         assert list(space.pivots) == leading
+        assert len(space.rows) == len(basis)
+        for row, pc, dense in zip(space.rows, space.pivots, basis):
+            # the stored sparse row: led by (pivot, 1), increasing columns, nonzero values
+            assert row[0] == (pc, one)
+            assert all(j < k for (j, _), (k, _) in zip(row, row[1:]))
+            assert all(v for _, v in row)
+            assert tuple(_pairs(dense)) == row
+
+
+def _stacked_kernel_intersection(s, t):
+    # the kernel-of-stacked-bases method Zassenhaus replaced, kept as the
+    # reference: solve u*A = v*B over (u, v) and map each u back through A
+    p, q, n = s.dim, t.dim, s.ambient_dim
+    a, b = s.basis.entries, t.basis.entries
+    stacked = ([a[i][r] for i in range(p)] + [-b[j][r] for j in range(q)] for r in range(n))
+    z = CycloScalar.zero(s.conductor)
+    vectors = []
+    for kv in kernel_from_rows(stacked, p + q, s.conductor).basis.entries:
+        v = [z] * n
+        for i in range(p):
+            if kv[i]:
+                v = [x + kv[i] * y for x, y in zip(v, a[i])]
+        vectors.append(v)
+    return Subspace.from_rows(n, vectors, s.conductor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_systems(), st.data())
+def test_intersection_equals_stacked_kernel_reference(system, data):
+    m, cols, rows = system
+    split = data.draw(st.integers(min_value=0, max_value=len(rows)))
+    s = Subspace.from_rows(cols, rows[:split], m)
+    t = Subspace.from_rows(cols, rows[split:], m)
+    for u, w in ((s, t), (t, s), (s, s)):
+        got, want = u.intersect(w), _stacked_kernel_intersection(u, w)
+        assert got == want and got.pivots == want.pivots

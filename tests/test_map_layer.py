@@ -28,7 +28,13 @@ from colorlie.derivations import (
     map_bracket,
     n_derivation_space,
 )
-from colorlie.errors import NoSolution, NotDivisible, ParseError, PreconditionFailed
+from colorlie.errors import (
+    DimensionMismatch,
+    NoSolution,
+    NotDivisible,
+    ParseError,
+    PreconditionFailed,
+)
 from colorlie.grading import Bicharacter, GradingGroup
 from colorlie.linalg import MatrixExact
 from colorlie.scalars import CycloScalar
@@ -182,6 +188,17 @@ def test_unchecked_constructions_pass_the_public_support_check(name, n):
     for D in built:
         checked = GradedMap(a, D.degree, D.matrix)
         assert checked.degree == D.degree and checked.matrix == D.matrix, (name, n)
+
+
+@pytest.mark.parametrize("length", [1, 4])
+def test_ad_and_apply_reject_a_vector_of_the_wrong_length(length):
+    # ad((1,)) on sl2 must not read as ad(e), nor apply drop a fourth entry through zip
+    sl2 = catalog.get("sl2")
+    v = (sl2.one_scalar(),) * length
+    with pytest.raises(DimensionMismatch):
+        ad(sl2, v)
+    with pytest.raises(DimensionMismatch):
+        ad(sl2, sl2.basis_vector(1)).apply(v)
 
 
 def test_constructor_coerces_entries_through_the_algebra():

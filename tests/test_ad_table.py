@@ -53,8 +53,8 @@ from colorlie.errors import BadArity, NoSolution, PreconditionFailed
 from colorlie.fileio import parse_algebra
 from colorlie.linalg import Subspace, kernel_from_rows
 
-from test_algebra import _misgraded_color_sl2
-from test_closure import _perturbed
+from test_algebra import _assert_report_matches_reference, _misgraded_color_sl2
+from test_closure import _perturbed, _perturbed_files
 
 ENTRIES = ("sl2", "heis3", "aff2", "colorSl2", "osp12", "abelian(2)", "abelian(3)")
 PERFECT = ("sl2", "colorSl2", "osp12")
@@ -351,6 +351,14 @@ def _assert_misses_equal_the_reference_on(b):
 @settings(deadline=None)
 @given(b=_perturbed())
 def test_misses_equal_the_bracket_rule_on_perturbed_catalog_entries(b):
+    _assert_misses_equal_the_reference_on(b)
+
+
+@settings(deadline=None)
+@given(b=_perturbed_files())
+def test_axioms_and_misses_equal_the_references_on_perturbed_files(b):
+    # conductors 3 and 30, where a product of two constants is not a rational
+    _assert_report_matches_reference(b)
     _assert_misses_equal_the_reference_on(b)
 
 

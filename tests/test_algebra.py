@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +14,13 @@ from colorlie.errors import (
     TooFewArguments,
     ValidationError,
 )
-from colorlie.fileio import serialize_algebra
+from colorlie.fileio import parse_algebra, serialize_algebra
 from colorlie.grading import Bicharacter, GradingGroup
 from colorlie.linalg import Subspace, kernel_from_rows
 from colorlie.scalars import CycloScalar
 
 ALL_NAMES = ("sl2", "heis3", "aff2", "abelian(2)", "colorSl2", "osp12")
+DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +336,23 @@ def test_axiom_report_matches_reference_loop(algebras):
         mutated = ColorAlgebra(osp12.group, osp12.bichar, osp12.degrees, constants)
         report = _assert_report_matches_reference(mutated)
         assert not report.grading and not report.antisymmetry and report.jacobi
+
+
+@pytest.mark.parametrize("name", ("torus3", "colorSl2z15"))
+def test_axiom_report_matches_reference_loop_at_conductors_3_and_30(name):
+    # every nonzero slot and 30 seeded others, moved by zeta_m and by 1 + zeta_m:
+    # the products there are not rational, so the reduction mod Phi_m decides
+    base = parse_algebra((DATA_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    d, zeta = base.dim, CycloScalar.root(base.conductor)
+    slots = [s for s in product(range(d), repeat=3) if base.constants[s[0]][s[1]][s[2]]]
+    rng = random.Random(23)
+    others = [s for s in product(range(d), repeat=3) if s not in slots]
+    slots += rng.sample(others, min(30, len(others)))
+    jacobi_hits = 0
+    for delta in (zeta, zeta + 1):
+        for i, j, k in slots:
+            jacobi_hits += bool(_assert_report_matches_reference(_mutate(base, i, j, k, delta)).jacobi)
+    assert jacobi_hits == 2 * len(slots)
 
 
 def _misgraded_color_sl2():

@@ -12,6 +12,7 @@ whenever eps(a, b) eps(b, a) = 1, which ``ColorAlgebra`` requires.
 
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,26 @@ def _perturbed(draw):
         constants[i][j][k] += q
         if i != j and draw(st.booleans()):
             constants[j][i][k] -= a.bichar.eps(a.degrees[j], a.degrees[i]) * q
+    return ColorAlgebra(a.group, a.bichar, a.degrees, constants, names=a.names)
+
+
+@st.composite
+def _perturbed_files(draw):
+    # torus3 (m = 3) or colorSl2z15 (m = 30) with 1-3 structure constants moved
+    # by q * zeta_m^k, so that sums of products reach the reduction mod Phi_m.
+    # Only slots the grading allows are moved: on a mis-graded torus3 the
+    # misses reference takes about a second, and ``_perturbed`` covers that case
+    a = _load(draw(st.sampled_from(("torus3", "colorSl2z15"))))
+    constants = [[list(row) for row in plane] for plane in a.constants]
+    g = a.degrees
+    graded = st.sampled_from(
+        [(i, j, k) for i, j, k in product(range(a.dim), repeat=3) if g[k] == g[i] + g[j]]
+    )
+    nonzero = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 3))):
+        i, j, k = draw(graded)
+        power = draw(st.integers(0, a.conductor - 1))
+        constants[i][j][k] += a.scalar(draw(nonzero)) * CycloScalar.root(a.conductor, power)
     return ColorAlgebra(a.group, a.bichar, a.degrees, constants, names=a.names)
 
 

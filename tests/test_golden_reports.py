@@ -12,7 +12,10 @@ arithmetic in Q(zeta_m) with non-rational pivots and inverses:
 ``colorSl2z15.json`` (m = 30) are ``serialize_algebra(generate(name, 1))``
 from ``perfbench.algebras``, and ``z211.json`` is a 3-element algebra over
 Z_211 with trivial eps, [e1, e2] = (1/2*z^5 - 3*z + 1) e2 and
-[e1, e3] = 2*z^7 e3. Their commands name the files relative to
+[e1, e3] = 2*z^7 e3. ``torus3_broken.json`` is ``torus3.json`` with
+[u0_1, u1_0] moved by z, and its partner with it, so that ``check`` lists
+Jacobi violations at m = 3; every other ``check`` here passes. Their
+commands name the files relative to
 ``tests/data/`` and run from there, so the bytes do not depend on where
 the repository is checked out.
 
@@ -43,6 +46,7 @@ ENTRIES = ("sl2", "heis3", "aff2", "colorSl2", "osp12", "abelian(2)", "abelian(3
 
 FILE_COMMANDS = (
     ["check", "torus3.json", "--json"],
+    ["check", "torus3_broken.json", "--json"],
     ["der", "torus3.json", "--n", "2", "--json"],
     ["verify", "torus3.json", "--n", "2", "--lemmas", "--json"],
     ["der", "cheis3z60.json", "--n", "2", "--json"],
@@ -82,7 +86,7 @@ def _recorded() -> dict:
 
 
 def test_every_command_has_a_digest():
-    assert len(COMMANDS) == 49
+    assert len(COMMANDS) == 50
     assert sorted(_recorded()) == sorted(" ".join(argv) for argv in COMMANDS)
 
 

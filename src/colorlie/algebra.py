@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
+from itertools import product
+from math import lcm
 
 from .errors import DimensionMismatch, NonHomogeneous, TooFewArguments, ValidationError
 from .grading import Bicharacter, GradingGroup, GroupElement
 from .linalg import Subspace, _kernel_from_pairs
-from .scalars import CycloScalar, parse_scalar
+from .scalars import CycloScalar, _add_product, _reduce_int, parse_scalar, totient
 
 
 def per_algebra(fn):
@@ -216,6 +218,16 @@ class ColorAlgebra:
             for plane in self.constants
         )
 
+    @per_algebra
+    def _integer_constants(self):
+        # _nonzero_constants times their one common denominator: (k, numerator)
+        nz = self._nonzero_constants()
+        den = lcm(*(c.den for plane in nz for pairs in plane for _, c in pairs))
+        return tuple(
+            tuple(tuple((k, tuple(x * (den // c.den) for x in c.num)) for k, c in pairs) for pairs in plane)
+            for plane in nz
+        )
+
     def bracket_of_basis(self, i: int, j: int) -> tuple:
         """[e_i, e_j] as a coefficient vector."""
         return tuple(self.constants[i][j])
@@ -273,8 +285,12 @@ class ColorAlgebra:
         """Exhaustively verify grading support, eps-antisymmetry, eps-Jacobi.
 
         Every violating index tuple is reported, in index order. Jacobi is
-        summed only over the nonzero [e_x, [e_y, e_z]]: a triple none of whose
-        rotations has a nonzero term holds trivially. The check runs once per
+        summed only over the nonzero products c[y][z][l] c[x][l][p]: a triple
+        none of whose rotations has one holds trivially. The sums run on the
+        integer numerators of ``_integer_constants``, which share one
+        denominator, and eps = zeta^t is a shift by t. Each output coordinate
+        is decided by one remainder mod Phi_m: Phi_m is monic, so it is zero
+        exactly when the sum is zero in Q(zeta_m). The check runs once per
         algebra; each call returns a fresh copy of the report.
         """
         report = self._axiom_report()
@@ -285,54 +301,38 @@ class ColorAlgebra:
     @per_algebra
     def _axiom_report(self) -> AxiomReport:
         report = AxiomReport(grading=self.grading_violations())
-        d = self.dim
-        eps = [[self.bichar.eps(di, dj) for dj in self.degrees] for di in self.degrees]
-        nz = self._nonzero_constants()
-        zero = self.zero_scalar()
-        for i in range(d):
-            for j in range(d):
-                # [e_i, e_j] + eps(i, j) [e_j, e_i], on the nonzero constants
-                e = eps[i][j]
-                total = dict(nz[i][j])
-                for k, b in nz[j][i]:
-                    total[k] = total.get(k, zero) + e * b
-                if any(total.values()):
-                    report.antisymmetry.append((i, j))
-        # the nonzero [e_x, [e_y, e_z]], as (p, coefficient) pairs; only a
-        # nonzero [e_y, e_z] can give one
-        nested = {}
-        for y in range(d):
-            for z in range(d):
-                if nz[y][z]:
-                    for x in range(d):
-                        out = {}
-                        for l, c in nz[y][z]:
-                            for p, b in nz[x][l]:
-                                v = out.get(p)
-                                out[p] = c * b if v is None else v + c * b
-                        pairs = [(p, v) for p, v in out.items() if v]
-                        if pairs:
-                            nested[x, y, z] = pairs
+        d, m, nz = self.dim, self.conductor, self._integer_constants()
+        size = m + 2 * totient(m) - 2  # x^t times a product of two numerators, t < m
+        eps = [[self.bichar.exponent(di, dj) for dj in self.degrees] for di in self.degrees]
+
+        def nonzero(acc):  # acc[k]: the integer polynomial of output coordinate k
+            return any(any(_reduce_int(w, m)) for w in acc.values() if any(w))
+
+        for i, j in product(range(d), repeat=2):
+            # [e_i, e_j] + eps(i, j) [e_j, e_i], times zeta^(m - e) if that shift is shorter
+            acc, e = {}, eps[i][j]
+            for t, pairs in zip((0, e) if 2 * e <= m else (m - e, 0), (nz[i][j], nz[j][i])):
+                for k, c in pairs:
+                    _add_product(acc.get(k) or acc.setdefault(k, [0] * size), t, c, (1,))
+            if nonzero(acc):
+                report.antisymmetry.append((i, j))
         # the cyclic sum of (i, j, k) has the same three terms as those of
-        # (j, k, i) and (k, i, j), so it is evaluated once per rotation class,
-        # and only for classes with a nonzero term
+        # (j, k, i) and (k, i, j), so it is summed once per rotation class, and
+        # only for classes with a nonzero product c[y][z][l] c[x][l][p]
         seen = set()
-        for i, j, k in nested:
-            if (i, j, k) in seen:
-                continue
-            rotations = {(i, j, k), (j, k, i), (k, i, j)}
-            seen |= rotations
-            total = {}
-            for t, term in (
-                (eps[k][i], (i, j, k)),
-                (eps[i][j], (j, k, i)),
-                (eps[j][k], (k, i, j)),
-            ):
-                for p, v in nested.get(term, ()):
-                    u = total.get(p)
-                    total[p] = t * v if u is None else u + t * v
-            if any(total.values()):
-                report.jacobi.extend(rotations)
+        for j, k in product(range(d), repeat=2):
+            for i in range(d) if nz[j][k] else ():
+                if (i, j, k) in seen or not any(nz[i][l] for l, _ in nz[j][k]):
+                    continue
+                rotations = {(i, j, k), (j, k, i), (k, i, j)}
+                seen |= rotations
+                acc = {}
+                for t, (x, y, z) in ((eps[k][i], (i, j, k)), (eps[i][j], (j, k, i)), (eps[j][k], (k, i, j))):
+                    for l, c in nz[y][z]:
+                        for p, b in nz[x][l]:
+                            _add_product(acc.get(p) or acc.setdefault(p, [0] * size), t, c, b)
+                if nonzero(acc):
+                    report.jacobi.extend(rotations)
         report.jacobi.sort()
         return report
 

@@ -44,6 +44,7 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import product
+from math import lcm
 
 from .algebra import ColorAlgebra, _coerce_scalar, per_algebra
 from .errors import (
@@ -56,7 +57,7 @@ from .errors import (
 )
 from .grading import GroupElement
 from .linalg import Subspace, _kernel_from_pairs, kernel_from_rows
-from .scalars import CycloScalar
+from .scalars import CycloScalar, _add_product, _reduce_int, totient
 
 DEFAULT_MAX_N = 4
 
@@ -609,25 +610,29 @@ def _pair_brackets(space: DerivationSpace) -> tuple:
 @per_algebra
 def _compat_misses(space: DerivationSpace, p: int) -> tuple:
     """The i with [B_p, ad e_i] != ad(B_p(e_i)), read off the derivation identity: i is a
-    miss at the first j where B_p[e_i, e_j] - [B_p e_i, e_j] - eps(deg B_p, deg e_i)[e_i, B_p e_j],
-    summed per output coordinate from the nonzero constants and columns of B_p, is nonzero.
-    No map is bracketed. Where ad is injective (a zero center) there are no misses exactly
-    when delta(B_p) = B_p: ad(delta(B_p)(e_i)) = [B_p, ad e_i]. Kept on the space by p."""
+    miss at the first j where B_p[e_i, e_j] - [B_p e_i, e_j] - eps(deg B_p, deg e_i)[e_i, B_p e_j]
+    is nonzero. Each output coordinate sums integer numerators, of the nonzero constants and
+    of the columns of B_p over their own common denominator, with eps = zeta^t as a shift by
+    t; one remainder mod Phi_m decides it. No map is bracketed. Where ad is injective (a zero
+    center) there are no misses exactly when delta(B_p) = B_p, as
+    ad(delta(B_p)(e_i)) = [B_p, ad e_i]. Kept on the space by p."""
     a = space.algebra
     D = _basis_maps(space)[p]
-    cols, nz = _columns(D), a._nonzero_constants()
+    m, nz = a.conductor, a._integer_constants()
+    size, den = m + 2 * totient(m) - 2, lcm(*(c.den for c in D.vector))
+    cols = [[(k, tuple(x * (den // c.den) for x in c.num)) for k, c in col] for col in _columns(D)]
+    neg = [[(k, tuple(-x for x in b)) for k, b in col] for col in cols]
     found = []
     for i in range(a.dim):
-        e, nzi = -a.bichar.eps(D.degree, a.degrees[i]), nz[i]
-        image = [(-b, nz[l]) for l, b in cols[i]]
+        t, nzi = a.bichar.exponent(D.degree, a.degrees[i]), nz[i]
         for j in range(a.dim):
-            terms = [(c, cols[l]) for l, c in nzi[j]] + [(b, nzl[j]) for b, nzl in image]
+            # minus the identity at k: -c[i][j][l] B[k][l] + B[l][i] c[l][j][k] + zeta^t B[l][j] c[i][l][k]
+            terms = [(0, c, neg[l]) for l, c in nzi[j]] + [(0, b, nz[l][j]) for l, b in cols[i]]
             acc = {}
-            for s, pairs in terms + [(e * b, nzi[l]) for l, b in cols[j] if nzi[l]]:
-                for k, c in pairs:
-                    v = s * c
-                    acc[k] = acc[k] + v if k in acc else v
-            if any(acc.values()):
+            for s, u, pairs in terms + [(t, b, nzi[l]) for l, b in cols[j]]:
+                for k, v in pairs:
+                    _add_product(acc.get(k) or acc.setdefault(k, [0] * size), s, u, v)
+            if any(any(_reduce_int(w, m)) for w in acc.values() if any(w)):
                 found.append(i)
                 break
     return tuple(found)

@@ -17,7 +17,10 @@ runs a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1;
 Collins, J. ACM 14, 1967): the half-extended Euclidean algorithm on integer
 polynomials, each step one pseudo-division followed by division by the
 content. The read-only ``coeffs`` property is the only rational view: it
-gives the value back as phi(m) ``Fraction`` coefficients.
+gives the value back as phi(m) ``Fraction`` coefficients. A sum of products
+that is only tested for zero skips the class: ``_add_product`` adds
+x^t * a * b into one integer polynomial, so a twist by zeta^t is a shift by
+t, and one ``_reduce_int`` decides the whole sum.
 
 Text format (used in algebra files and CLI output): rationals as ``p/q``
 or ``p``; field elements as polynomials in the symbol ``z`` with rational
@@ -126,6 +129,17 @@ def _reduce_int(work: list[int], m: int) -> tuple[int, ...]:
     del work[deg:]
     work.extend([0] * (deg - len(work)))
     return tuple(work)
+
+
+def _add_product(acc: list, shift: int, a: tuple, b: tuple) -> None:
+    # acc += x^shift * a * b on integer coefficients, ascending; acc is long enough
+    if len(a) == len(b) == 1:  # m <= 2
+        acc[shift] += a[0] * b[0]
+        return
+    for i, ai in enumerate(a, shift):
+        if ai:
+            for j, bj in enumerate(b, i):
+                acc[j] += ai * bj
 
 
 class CycloScalar:

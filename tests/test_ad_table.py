@@ -4,7 +4,8 @@ loops and the bracket rule they replaced.
 Each ``DerivationSpace`` keeps its basis maps and, for each basis map B_p,
 its compat misses: the i where [B_p, ad e_i] differs from ad(B_p(e_i)).
 They are read off the derivation identity at each (e_i, e_j), on the
-nonzero constants and the nonzero columns of B_p, with no map bracketed.
+integer numerators of the nonzero constants and of the nonzero columns of
+B_p, with no map bracketed and no scalar built.
 ``_reference_misses`` below is the rule they replaced: bracket B_p with
 every ad(e_i) and compare. Part 1's fixed point and the inner-ideal,
 delta-membership and ad-compat lemmas read the misses; the centralizer
@@ -52,6 +53,7 @@ from colorlie.derivations import (
 from colorlie.errors import BadArity, NoSolution, PreconditionFailed
 from colorlie.fileio import parse_algebra
 from colorlie.linalg import Subspace, kernel_from_rows
+from colorlie.scalars import CycloScalar
 
 from test_algebra import _assert_report_matches_reference, _misgraded_color_sl2
 from test_closure import _perturbed, _perturbed_files
@@ -384,6 +386,28 @@ def test_readers_of_ad_basis_name_the_first_misplaced_constant():
         assert str(err.value) == want
     with pytest.raises(ValueError, match="block support"):
         ad(a, a.basis_vector(i))
+
+
+@pytest.mark.parametrize("build", (lambda: _load("torus3"), _jacobi_broken_sl2), ids=("torus3", "jacobi"))
+def test_axiom_check_and_misses_do_no_scalar_arithmetic(build, monkeypatch):
+    # both sum integer numerators; only the kept views they read (the nonzero
+    # constants, the grading scan and the columns of each map) touch scalars
+    a = build()
+    want = a.check_axioms()
+    space = _space(a, 2, [_identity(a), _unit(a, 0, 0)] + _inner_maps(a))
+    misses = [_reference_misses(space, p) for p in range(space.total_dim)]
+    for D in space.basis_maps():
+        derivations._columns(D)
+    fresh = ColorAlgebra(a.group, a.bichar, a.degrees, a.constants, names=a.names)
+    fresh._nonzero_constants(), fresh.grading_violations()
+
+    def refuse(*args):
+        raise AssertionError("CycloScalar arithmetic in an integer loop")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__", "__bool__"):
+        monkeypatch.setattr(CycloScalar, name, refuse)
+    assert fresh.check_axioms() == want
+    assert [_compat_misses(space, p) for p in range(space.total_dim)] == misses
 
 
 @pytest.mark.parametrize("name", ("colorSl2", "osp12", "sl3"))

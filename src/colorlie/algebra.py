@@ -309,13 +309,14 @@ class ColorAlgebra:
             return any(any(_reduce_int(w, m)) for w in acc.values() if any(w))
 
         for i, j in product(range(d), repeat=2):
-            # [e_i, e_j] + eps(i, j) [e_j, e_i], times zeta^(m - e) if that shift is shorter
-            acc, e = {}, eps[i][j]
-            for t, pairs in zip((0, e) if 2 * e <= m else (m - e, 0), (nz[i][j], nz[j][i])):
-                for k, c in pairs:
-                    _add_product(acc.get(k) or acc.setdefault(k, [0] * size), t, c, (1,))
-            if nonzero(acc):
-                report.antisymmetry.append((i, j))
+            if nz[i][j] or nz[j][i]:
+                # [e_i, e_j] + eps(i, j) [e_j, e_i], times zeta^(m - e) if that shift is shorter
+                acc, e = {}, eps[i][j]
+                for t, pairs in zip((0, e) if 2 * e <= m else (m - e, 0), (nz[i][j], nz[j][i])):
+                    for k, c in pairs:
+                        _add_product(acc.get(k) or acc.setdefault(k, [0] * size), t, c, (1,))
+                if nonzero(acc):
+                    report.antisymmetry.append((i, j))
         # the cyclic sum of (i, j, k) has the same three terms as those of
         # (j, k, i) and (k, i, j), so it is summed once per rotation class, and
         # only for classes with a nonzero product c[y][z][l] c[x][l][p]

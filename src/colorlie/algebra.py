@@ -24,7 +24,7 @@ from math import lcm
 from .errors import DimensionMismatch, NonHomogeneous, TooFewArguments, ValidationError
 from .grading import Bicharacter, GradingGroup, GroupElement
 from .linalg import Subspace, _kernel_from_pairs
-from .scalars import CycloScalar, _add_product, _reduce_int, parse_scalar, totient
+from .scalars import CycloScalar, _nonzero_sum, parse_scalar
 
 
 def per_algebra(fn):
@@ -302,20 +302,13 @@ class ColorAlgebra:
     def _axiom_report(self) -> AxiomReport:
         report = AxiomReport(grading=self.grading_violations())
         d, m, nz = self.dim, self.conductor, self._integer_constants()
-        size = m + 2 * totient(m) - 2  # x^t times a product of two numerators, t < m
         eps = [[self.bichar.exponent(di, dj) for dj in self.degrees] for di in self.degrees]
-
-        def nonzero(acc):  # acc[k]: the integer polynomial of output coordinate k
-            return any(any(_reduce_int(w, m)) for w in acc.values() if any(w))
-
         for i, j in product(range(d), repeat=2):
             if nz[i][j] or nz[j][i]:
                 # [e_i, e_j] + eps(i, j) [e_j, e_i], times zeta^(m - e) if that shift is shorter
-                acc, e = {}, eps[i][j]
-                for t, pairs in zip((0, e) if 2 * e <= m else (m - e, 0), (nz[i][j], nz[j][i])):
-                    for k, c in pairs:
-                        _add_product(acc.get(k) or acc.setdefault(k, [0] * size), t, c, (1,))
-                if nonzero(acc):
+                e = eps[i][j]
+                shifts = (0, e) if 2 * e <= m else (m - e, 0)
+                if _nonzero_sum([(t, (1,), pairs) for t, pairs in zip(shifts, (nz[i][j], nz[j][i]))], m):
                     report.antisymmetry.append((i, j))
         # the cyclic sum of (i, j, k) has the same three terms as those of
         # (j, k, i) and (k, i, j), so it is summed once per rotation class, and
@@ -327,12 +320,8 @@ class ColorAlgebra:
                     continue
                 rotations = {(i, j, k), (j, k, i), (k, i, j)}
                 seen |= rotations
-                acc = {}
-                for t, (x, y, z) in ((eps[k][i], (i, j, k)), (eps[i][j], (j, k, i)), (eps[j][k], (k, i, j))):
-                    for l, c in nz[y][z]:
-                        for p, b in nz[x][l]:
-                            _add_product(acc.get(p) or acc.setdefault(p, [0] * size), t, c, b)
-                if nonzero(acc):
+                shifted = ((eps[k][i], (i, j, k)), (eps[i][j], (j, k, i)), (eps[j][k], (k, i, j)))
+                if _nonzero_sum([(t, c, nz[x][l]) for t, (x, y, z) in shifted for l, c in nz[y][z]], m):
                     report.jacobi.extend(rotations)
         report.jacobi.sort()
         return report
@@ -341,13 +330,9 @@ class ColorAlgebra:
 
     @per_algebra
     def derived_subalgebra(self) -> Subspace:
-        """Span of all brackets of basis pairs."""
-        rows = [
-            self.bracket_of_basis(i, j)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        ]
-        return Subspace.from_rows(self.dim, rows, self.conductor)
+        """Span of all brackets of basis pairs, read as sparse rows off the nonzero constants."""
+        rows = (pairs for plane in self._nonzero_constants() for pairs in plane)
+        return Subspace._from_pairs(self.dim, rows, self.conductor)
 
     def is_perfect(self) -> bool:
         return self.derived_subalgebra().dim == self.dim

@@ -11,12 +11,13 @@ An n-derivation D satisfies, on every n-tuple of homogeneous elements,
 D, spaces are computed as direct sums of homogeneous blocks, one per
 degree of the (finite) grading group; the full space is the span of the
 blocks. A degree-gamma map can be nonzero only at coordinates (k, j) with
-deg e_k - deg e_j = gamma, its block: a ``GradedMap`` holds only the block's
-entries. ``ad`` and the ad-preimages of ``delta`` and part 2 are built and
-certified on blocks; the d x d ``matrix`` view, built on read, is read here
-only for part 2's witness strings. Only the degrees of the support (at most
-d*d, read from ``ColorAlgebra.degree_table``) get a linear system; every
-other degree holds the zero space.
+deg e_k - deg e_j = gamma, its block: a ``GradedMap`` holds the block's
+nonzero entries as a sparse ``Subspace`` row. ``ad``, ``map_bracket`` and the
+ad-preimages of ``delta`` and part 2 are built and certified on those; the
+d x d ``matrix`` view, built on read, is read here only for part 2's witness
+strings. Only the degrees of the support (at most d*d, read from
+``ColorAlgebra.degree_table``) get a linear system; every other degree
+holds the zero space.
 
 Two independent routes exist on purpose: ``n_derivation_space`` assembles
 one linear system per degree and takes its kernel, while
@@ -46,7 +47,7 @@ from functools import cache
 from itertools import product
 from math import lcm
 
-from .algebra import ColorAlgebra, _coerce_scalar, per_algebra
+from .algebra import ColorAlgebra, per_algebra
 from .errors import (
     AlgebraMismatch,
     BadArity,
@@ -56,8 +57,8 @@ from .errors import (
     PreconditionFailed,
 )
 from .grading import GroupElement
-from .linalg import Subspace, _kernel_from_pairs, kernel_from_rows
-from .scalars import CycloScalar, _add_product, _reduce_int, totient
+from .linalg import Subspace, _kernel_from_pairs, _pairs, _sorted_pairs, kernel_from_rows
+from .scalars import CycloScalar, _nonzero_sum
 
 DEFAULT_MAX_N = 4
 
@@ -72,20 +73,20 @@ def block_coordinates(a: ColorAlgebra, gamma: GroupElement) -> tuple:
 
 
 class GradedMap:
-    """A homogeneous linear endomorphism, held as its degree and its block vector.
+    """A homogeneous linear endomorphism, held as its degree and its block entries.
 
-    ``vector`` lists the entries at ``block_coordinates(algebra, degree)`` in
-    canonical order; every other entry is zero. ``matrix`` is the d x d view,
-    built on each read, in which M[k][j] is the e_k coefficient of D(e_j).
-    The public constructor takes such a grid, coerces its entries as
-    ``algebra.scalar`` does and rejects a nonzero entry outside the degree block.
+    ``entries`` are the nonzero (position, value) pairs at positions of
+    ``block_coordinates(algebra, degree)``, increasing: a sparse ``Subspace``
+    row. ``matrix`` is the d x d view, built on each read, in which M[k][j] is
+    the e_k coefficient of D(e_j). The public constructors, from such a grid
+    or ``from_block_vector``, coerce entries as ``algebra.scalar`` does; the
+    grid's rejects a nonzero entry outside the degree block.
     """
 
-    __slots__ = ("algebra", "degree", "vector", "_cols")
+    __slots__ = ("algebra", "degree", "entries", "_cols")
 
-    def __init__(self, algebra: ColorAlgebra, degree: GroupElement, matrix):
-        m = algebra.conductor
-        matrix = [[_coerce_scalar(c, m) for c in row] for row in matrix]
+    def __new__(cls, algebra: ColorAlgebra, degree: GroupElement, matrix):
+        matrix = [[algebra.scalar(c) for c in row] for row in matrix]
         d = algebra.dim
         if len(matrix) != d or any(len(row) != d for row in matrix):
             raise ValueError(f"matrix must be {d}x{d}")
@@ -97,29 +98,31 @@ class GradedMap:
                         f"entry ({k}, {j}) violates the degree-{degree} block support"
                     )
         coords = block_coordinates(algebra, degree)
-        self._hold(algebra, degree, tuple(matrix[k][j] for k, j in coords))
+        return GradedMap._of(algebra, degree, tuple(_pairs(matrix[k][j] for k, j in coords)))
 
-    def _hold(self, algebra: ColorAlgebra, degree: GroupElement, vector: tuple) -> None:
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "_cols", None)
+    @staticmethod
+    def _of(algebra: ColorAlgebra, degree: GroupElement, entries: tuple) -> "GradedMap":
+        # the private path, for entries already in the stored form: nothing is coerced
+        D = object.__new__(GradedMap)
+        for name, value in zip(GradedMap.__slots__, (algebra, degree, entries, None)):
+            object.__setattr__(D, name, value)
+        return D
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedMap is immutable")
 
     @staticmethod
     def zero(algebra: ColorAlgebra, degree: GroupElement) -> "GradedMap":
-        zeros = (algebra.zero_scalar(),) * len(block_coordinates(algebra, degree))
-        return GradedMap.from_block_vector(algebra, degree, zeros)
+        return GradedMap._of(algebra, degree, ())
 
     @property
     def matrix(self) -> tuple:
         """The d x d grid of this map, built on each read."""
         d = self.algebra.dim
         grid = [[self.algebra.zero_scalar()] * d for _ in range(d)]
-        for (k, j), c in zip(block_coordinates(self.algebra, self.degree), self.vector):
-            grid[k][j] = c
+        for j, col in enumerate(_columns(self)):
+            for k, c in col:
+                grid[k][j] = c
         return tuple(map(tuple, grid))
 
     def apply(self, v) -> tuple:
@@ -133,31 +136,29 @@ class GradedMap:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        # tuple comparison passes the shared zero by identity, without __eq__
-        return self.vector == (self.algebra.zero_scalar(),) * len(self.vector)
+        return not self.entries
 
     def block_vector(self) -> tuple:
-        """Entries at this degree's block coordinates, in canonical order."""
-        return self.vector
+        """Entries at this degree's block coordinates, in canonical order; built on each read."""
+        vec = [self.algebra.zero_scalar()] * len(block_coordinates(self.algebra, self.degree))
+        for p, c in self.entries:
+            vec[p] = c
+        return tuple(vec)
 
     @staticmethod
     def from_block_vector(algebra: ColorAlgebra, degree: GroupElement, vec) -> "GradedMap":
         coords = block_coordinates(algebra, degree)
         if len(vec) != len(coords):
             raise ValueError(f"expected {len(coords)} block entries, got {len(vec)}")
-        D = object.__new__(GradedMap)
-        D._hold(algebra, degree, tuple(vec))
-        return D
+        return GradedMap._of(algebra, degree, tuple(_pairs(map(algebra.scalar, vec))))
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
             return NotImplemented
         if self.algebra != other.algebra:
             return False
-        if self.degree == other.degree:
-            return self.vector == other.vector
         # the zero map belongs to every degree component
-        return self.is_zero() and other.is_zero()
+        return (self.degree == other.degree or not self.entries) and self.entries == other.entries
 
     def __repr__(self):
         return f"GradedMap(degree={self.degree}, dim={self.algebra.dim})"
@@ -172,7 +173,7 @@ def ad(a: ColorAlgebra, x) -> GradedMap:
     """
     degree = a.degree_of(x)
     table = a.degree_table()
-    vec = [a.zero_scalar()] * len(block_coordinates(a, degree))
+    acc = defaultdict(a.zero_scalar)
     nz = a._nonzero_constants()
     for i, xi in enumerate(x):
         if xi:
@@ -180,8 +181,8 @@ def ad(a: ColorAlgebra, x) -> GradedMap:
                 for k, c in nz[i][j]:
                     if table.differences[k][j] != degree:
                         raise ValueError(f"entry ({k}, {j}) violates the degree-{degree} block support")
-                    vec[table.positions[k, j]] += xi * c
-    return GradedMap.from_block_vector(a, degree, vec)
+                    acc[table.positions[k, j]] += xi * c
+    return GradedMap._of(a, degree, _sorted_pairs(acc))
 
 
 @per_algebra
@@ -265,7 +266,7 @@ class DerivationSpace:
         start = self._offsets.get(D.degree)
         if start is None:
             return (self.algebra.zero_scalar(),) * self.total_dim if D.is_zero() else None
-        local = self.blocks[D.degree].coordinates_of(D.block_vector())
+        local = self.blocks[D.degree].coordinates_of(D.entries)
         if local is None:
             return None
         z = self.algebra.zero_scalar()
@@ -283,8 +284,8 @@ class DerivationSpace:
 def _basis_maps(space: DerivationSpace) -> tuple:
     # the kept basis maps, which the space's own readers index without a copy
     return tuple(
-        GradedMap.from_block_vector(space.algebra, gamma, row)
-        for gamma, sub in space.blocks.items() for row in sub.basis.entries
+        GradedMap._of(space.algebra, gamma, row)
+        for gamma, sub in space.blocks.items() for row in sub.rows
     )
 
 
@@ -306,7 +307,7 @@ def _basis_bracket_table(a: ColorAlgebra, n: int) -> tuple:
                     for k, c in nz[i][j]:
                         p = vi * c
                         out[k] = out[k] + p if k in out else p
-                pairs = tuple((k, out[k]) for k in sorted(out) if out[k])
+                pairs = _sorted_pairs(out)
                 if pairs:
                     nxt[t + (j,)] = pairs
         level = nxt
@@ -454,8 +455,8 @@ def inner_derivation_space(a: ColorAlgebra) -> DerivationSpace:
     m = a.conductor
     blocks = {}
     for gamma, coords in a.degree_table().blocks.items():
-        rows = [x.block_vector() for x in _ad_basis(a) if x.degree == gamma]
-        blocks[gamma] = Subspace.from_rows(len(coords), rows, m)
+        rows = [x.entries for x in _ad_basis(a) if x.degree == gamma]
+        blocks[gamma] = Subspace._from_pairs(len(coords), rows, m)
     return DerivationSpace(a, 2, blocks)
 
 
@@ -464,9 +465,10 @@ def _columns(D: GradedMap) -> list:
     cols = D._cols
     if cols is None:
         cols = [[] for _ in range(D.algebra.dim)]
-        for (k, j), c in zip(block_coordinates(D.algebra, D.degree), D.vector):
-            if c:
-                cols[j].append((k, c))
+        coords = block_coordinates(D.algebra, D.degree)
+        for p, c in D.entries:
+            k, j = coords[p]
+            cols[j].append((k, c))
         object.__setattr__(D, "_cols", cols)
     return cols
 
@@ -484,17 +486,17 @@ def map_bracket(d1: GradedMap, d2: GradedMap) -> GradedMap:
     degree = d1.degree + d2.degree
     cols1, cols2 = _columns(d1), _columns(d2)
     pos = a.degree_table().positions
-    vec = [a.zero_scalar()] * len(block_coordinates(a, degree))
+    acc = defaultdict(a.zero_scalar)
     for j in range(a.dim):
         # column j of d1 o d2 is sum_l d2[l][j] * (column l of d1)
         for l, b in cols2[j]:
             for k, c in cols1[l]:
-                vec[pos[k, j]] += c * b
+                acc[pos[k, j]] += c * b
         for l, b in cols1[j]:
             eb = e * b
             for k, c in cols2[l]:
-                vec[pos[k, j]] -= c * eb
-    return GradedMap.from_block_vector(a, degree, vec)
+                acc[pos[k, j]] -= c * eb
+    return GradedMap._of(a, degree, _sorted_pairs(acc))
 
 
 @per_algebra
@@ -505,11 +507,11 @@ def _ad_factor(a: ColorAlgebra) -> tuple:
     M A = R, A the matrix of rows ad(e_i). R is the identity at its pivot
     coordinates P, so M inverts A restricted to P, and ad(y) = T forces
     y_i = sum_s M[s][i] T[P_s]. A pivot in the e_i part means some
-    combination of the ad(e_i) vanishes: the center is nonzero.
+    combination of the ad(e_i) vanishes: the center is nonzero. Gives {P_s: s}, M.
     """
     d = a.dim
     rows = (
-        [(k * d + l, c) for (k, l), c in zip(block_coordinates(a, x.degree), x.vector) if c]
+        [(k * d + l, c) for (k, l), c in ((block_coordinates(a, x.degree)[p], c) for p, c in x.entries)]
         + [(d * d + i, a.one_scalar())]
         for i, x in enumerate(_ad_basis(a))
     )
@@ -517,23 +519,23 @@ def _ad_factor(a: ColorAlgebra) -> tuple:
     if span.pivots and span.pivots[-1] >= d * d:
         raise PreconditionFailed("ad is not injective: the center is nonzero")
     inverse = [[(j - d * d, c) for j, c in row if j >= d * d] for row in span.rows]
-    return [divmod(p, d) for p in span.pivots], inverse
+    return {divmod(p, d): s for s, p in enumerate(span.pivots)}, inverse
 
 
 def _solve_ad_preimage(a: ColorAlgebra, target: GradedMap) -> tuple:
     """The unique y with ad(y) = target; needs a zero center (PreconditionFailed).
 
-    y is read off the cached factorization of ad at d coordinates, taking the
-    target's entries from its block, then certified exactly: y must be
-    homogeneous and ad(y) must equal target as a graded map, otherwise target
-    lies outside ad(L) and NoSolution is raised.
+    y is read off the cached factorization of ad at d coordinates, walking the
+    target's entries, then certified exactly: y must be homogeneous and ad(y)
+    must equal target as a graded map, otherwise target lies outside ad(L) and
+    NoSolution is raised.
     """
-    coords, inverse = _ad_factor(a)
-    table = a.degree_table()
+    pivots, inverse = _ad_factor(a)
+    coords = block_coordinates(a, target.degree)
     y = [a.zero_scalar()] * a.dim
-    for s, (k, l) in enumerate(coords):
-        t = target.vector[table.positions[k, l]] if table.differences[k][l] == target.degree else 0
-        if t:
+    for p, t in target.entries:
+        s = pivots.get(coords[p])
+        if s is not None:
             for i, c in inverse[s]:
                 y[i] += c * t
     if not (a.is_homogeneous(y) and ad(a, y) == target):
@@ -619,7 +621,7 @@ def _compat_misses(space: DerivationSpace, p: int) -> tuple:
     a = space.algebra
     D = _basis_maps(space)[p]
     m, nz = a.conductor, a._integer_constants()
-    size, den = m + 2 * totient(m) - 2, lcm(*(c.den for c in D.vector))
+    den = lcm(*(c.den for _, c in D.entries))
     cols = [[(k, tuple(x * (den // c.den) for x in c.num)) for k, c in col] for col in _columns(D)]
     neg = [[(k, tuple(-x for x in b)) for k, b in col] for col in cols]
     found = []
@@ -628,11 +630,7 @@ def _compat_misses(space: DerivationSpace, p: int) -> tuple:
         for j in range(a.dim):
             # minus the identity at k: -c[i][j][l] B[k][l] + B[l][i] c[l][j][k] + zeta^t B[l][j] c[i][l][k]
             terms = [(0, c, neg[l]) for l, c in nzi[j]] + [(0, b, nz[l][j]) for l, b in cols[i]]
-            acc = {}
-            for s, u, pairs in terms + [(t, b, nzi[l]) for l, b in cols[j]]:
-                for k, v in pairs:
-                    _add_product(acc.get(k) or acc.setdefault(k, [0] * size), s, u, v)
-            if any(any(_reduce_int(w, m)) for w in acc.values() if any(w)):
+            if _nonzero_sum(terms + [(t, b, nzi[l]) for l, b in cols[j]], m):
                 found.append(i)
                 break
     return tuple(found)
@@ -824,12 +822,12 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
 
     def der_map(coeffs, degree) -> GradedMap:
         # D(ad e_i) has degree deg D + deg e_i, so its terms are basis maps of that degree
-        vec = [a.zero_scalar()] * len(block_coordinates(a, degree))
+        acc = defaultdict(a.zero_scalar)
         for c, pairs in zip(coeffs, der_pairs):
             if c:
                 for s, v in pairs:
-                    vec[s] += c * v
-        return GradedMap.from_block_vector(a, degree, vec)
+                    acc[s] += c * v
+        return GradedMap._of(a, degree, _sorted_pairs(acc))
 
     preserves = True
     witness_failures = []

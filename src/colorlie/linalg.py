@@ -10,12 +10,13 @@ their canonical bases are literally equal.
 Elimination runs on sparse rows: a row is a list of (column, value) pairs
 with strictly increasing columns and nonzero values only, and ``[]`` is the
 zero row. Rows stay sparse from the constraint systems to every stored
-basis: ``_rref_rows`` returns its reduced rows as tuples of pairs, and a
-``Subspace`` holds them. Rows go dense only at the edges: the public entry
-points (``kernel_from_rows``, ``Subspace.from_rows``, ``MatrixExact.solve``)
-pass each dense row through ``_pairs``, and ``Subspace.basis`` is a dense
-``MatrixExact`` view built on read. ``MatrixExact`` is only that grid plus
-``solve``, a dense reference; ranks and kernels are read off a ``Subspace``.
+basis and coordinate read: ``_rref_rows`` returns tuples of pairs, a
+``Subspace`` holds them, and ``coordinates_of`` takes one. Rows go dense only
+at the edges: ``kernel_from_rows``, ``Subspace.from_rows``, ``contains_vector``
+and ``MatrixExact.solve`` pass each dense row through ``_pairs``, and
+``Subspace.basis`` is a dense ``MatrixExact`` view built on read.
+``MatrixExact`` is only that grid plus ``solve``, a dense reference; ranks and
+kernels are read off a ``Subspace``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,14 @@ def _pairs(row) -> list:
     return [(j, a) for j, a in enumerate(row) if a]
 
 
+def _sorted_pairs(acc: dict) -> tuple:
+    """A {column: value} dict as a sparse row: its nonzero items, columns increasing."""
+    return tuple((j, acc[j]) for j in sorted(acc) if acc[j])
+
+
 def _subtract(row, c, other):
-    # row -= c * other on other's entries; entries that cancel are dropped
-    for j, v in other.items():
+    # row -= c * other on other's (column, value) pairs; entries that cancel are dropped
+    for j, v in other:
         b = row.pop(j, None)
         b = -(c * v) if b is None else b - c * v
         if b:
@@ -62,7 +68,7 @@ def _rref_rows(rows, cols):
             break
         work = dict(row)
         for pc in [j for j in work if j in echelon]:
-            _subtract(work, work.pop(pc), echelon[pc])
+            _subtract(work, work.pop(pc), echelon[pc].items())
         if not work:
             continue
         lead = min(work)
@@ -71,7 +77,7 @@ def _rref_rows(rows, cols):
         for prow in echelon.values():
             c = prow.pop(lead, None)
             if c is not None:
-                _subtract(prow, c, work)
+                _subtract(prow, c, work.items())
         echelon[lead] = work
         m = inv.conductor
     pivots = sorted(echelon)
@@ -199,26 +205,24 @@ class Subspace:
         rows = tuple(tuple((j - n, c) for j, c in row) for row in reduced[k:])
         return Subspace(n, rows, [pc - n for pc in pivots[k:]], self.conductor)
 
-    def coordinates_of(self, vector):
-        """Coefficients of ``vector`` over the RREF basis, or None if outside."""
-        vec = list(vector)
-        if len(vec) != self.ambient_dim:
-            raise AmbientMismatch(
-                f"vector length {len(vec)} != ambient {self.ambient_dim}"
-            )
+    def coordinates_of(self, row):
+        """Coefficients of the sparse ``row`` over the RREF basis, or None if outside."""
+        vec = dict(row)
+        if vec and max(vec) >= self.ambient_dim:
+            raise AmbientMismatch(f"column {max(vec)} is past the ambient dimension {self.ambient_dim}")
+        z = CycloScalar.zero(self.conductor)
         coeffs = []
-        for row, pc in zip(self.rows, self.pivots):
-            c = vec[pc]
+        for prow, pc in zip(self.rows, self.pivots):
+            c = vec.pop(pc, z)  # the other basis rows are zero at pc
             coeffs.append(c)
             if c:
-                for j, y in row:
-                    vec[j] = vec[j] - c * y
-        if any(vec):
-            return None
-        return coeffs
+                _subtract(vec, c, prow[1:])
+        return None if vec else coeffs
 
     def contains_vector(self, vector) -> bool:
-        return self.coordinates_of(vector) is not None
+        if len(vector) != self.ambient_dim:
+            raise AmbientMismatch(f"vector length {len(vector)} != ambient {self.ambient_dim}")
+        return self.coordinates_of(_pairs(vector)) is not None
 
     def contains(self, other: "Subspace") -> bool:
         return self.sum(other).dim == self.dim

@@ -20,7 +20,7 @@ content. The read-only ``coeffs`` property is the only rational view: it
 gives the value back as phi(m) ``Fraction`` coefficients. A sum of products
 that is only tested for zero skips the class: ``_add_product`` adds
 x^t * a * b into one integer polynomial, so a twist by zeta^t is a shift by
-t, and one ``_reduce_int`` decides the whole sum.
+t, and ``_nonzero_sum`` decides the whole sum with one ``_reduce_int``.
 
 Text format (used in algebra files and CLI output): rationals as ``p/q``
 or ``p``; field elements as polynomials in the symbol ``z`` with rational
@@ -140,6 +140,17 @@ def _add_product(acc: list, shift: int, a: tuple, b: tuple) -> None:
         if ai:
             for j, bj in enumerate(b, i):
                 acc[j] += ai * bj
+
+
+def _nonzero_sum(terms, m: int) -> bool:
+    # whether some coordinate k of the sum of x^t * u * v over (t, u, pairs) in terms and (k, v)
+    # in pairs is nonzero mod Phi_m; u, v are integer numerators, t < m, and each k is reduced once
+    size = m + 2 * totient(m) - 2  # x^t times a product of two numerators
+    acc = {}
+    for t, u, pairs in terms:
+        for k, v in pairs:
+            _add_product(acc.get(k) or acc.setdefault(k, [0] * size), t, u, v)
+    return any(any(_reduce_int(w, m)) for w in acc.values() if any(w))
 
 
 class CycloScalar:

@@ -153,6 +153,14 @@ def test_ambient_mismatch():
         _span([[1]], 1).sum(_span([[1, 0]], 2))
     with pytest.raises(AmbientMismatch):
         Subspace.zero(1).contains(Subspace.zero(2))
+    one = CycloScalar.one()
+    # the dense membership test checks the vector's length
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(2).contains_vector((one, one, one))
+    # the sparse coordinates reject a column past the ambient dimension
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(2).coordinates_of([(0, one), (2, one)])
+    assert Subspace.full(2).coordinates_of([(1, one)]) == [CycloScalar.zero(), one]
 
 
 def test_grassmann_identity_fuzz():
@@ -288,18 +296,18 @@ def test_sparse_coordinates_equal_dense_reference(system, data):
     inside = [CycloScalar.zero(m)] * cols
     for w, row in zip(weights, basis):
         inside = [x + w * y for x, y in zip(inside, row)]
-    assert space.coordinates_of(inside) == weights
+    # coordinates_of reads the sparse form of each vector
+    assert space.coordinates_of(_pairs(inside)) == weights
     probe = rows[0] if rows else inside
     outside = list(probe)
     outside[data.draw(st.integers(min_value=0, max_value=cols - 1))] += 1
     for vector in (inside, probe, outside):
-        assert space.coordinates_of(vector) == _dense_coordinates(basis, vector)
+        assert space.coordinates_of(_pairs(vector)) == _dense_coordinates(basis, vector)
+        assert space.contains_vector(vector) == (_dense_coordinates(basis, vector) is not None)
     if space.dim < cols:
         # every nonzero vector of the span leads at a pivot, so e_f at a free f is outside
         f = next(f for f in range(cols) if f not in space.pivots)
-        unit = [CycloScalar.zero(m)] * cols
-        unit[f] = CycloScalar.one(m)
-        assert space.coordinates_of(unit) is None
+        assert space.coordinates_of([(f, CycloScalar.one(m))]) is None
 
 
 @settings(max_examples=200, deadline=None)

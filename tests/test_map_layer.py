@@ -4,29 +4,33 @@
 and certifies ad(y) = target exactly; the reference solves the full
 d*d x d coefficient system with ``MatrixExact.solve``. ``map_bracket``
 works on nonzero entries only; the reference is the textbook triple loop.
-A map is held as its degree and its block vector; the properties below
-check that layout against the d x d view ``matrix`` on every support
-degree of each catalog entry.
+A map is held as its degree and the nonzero (position, value) pairs of
+its block, a sparse ``Subspace`` row; the properties below check that
+layout against the d x d view ``matrix`` on every support degree of each
+catalog entry.
 """
 
 import random
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorlie import catalog
+from colorlie import catalog, derivations
 from colorlie.algebra import ColorAlgebra
 from colorlie.derivations import (
     GradedMap,
     _ad_basis,
+    _ad_preimages,
     _solve_ad_preimage,
     ad,
     block_coordinates,
     delta,
     map_bracket,
     n_derivation_space,
+    verify_second_statement,
 )
 from colorlie.errors import (
     DimensionMismatch,
@@ -35,8 +39,9 @@ from colorlie.errors import (
     ParseError,
     PreconditionFailed,
 )
+from colorlie.fileio import parse_algebra
 from colorlie.grading import Bicharacter, GradingGroup
-from colorlie.linalg import MatrixExact
+from colorlie.linalg import MatrixExact, _pairs
 from colorlie.scalars import CycloScalar
 
 CATALOG = ("sl2", "heis3", "aff2", "colorSl2", "osp12", "abelian(3)")
@@ -68,6 +73,10 @@ def _torus3(drop_center=False):
 def _algebra(name):
     if name.startswith("torus3"):
         return _torus3(drop_center=name == "torus3/Z")
+    if name == "r11":
+        # a zero center, not perfect (see test_premise_controls.py)
+        path = Path(__file__).resolve().parent / "data" / "r11.json"
+        return parse_algebra(path.read_text(encoding="utf-8"))
     return catalog.get(name)
 
 
@@ -216,6 +225,20 @@ def test_constructor_coerces_entries_through_the_algebra():
         GradedMap(sl2, zero, [["1/", 0, 0], [0, 0, 0], [0, 0, 0]])
     with pytest.raises(NotDivisible):
         GradedMap(sl2, zero, [[CycloScalar.root(3), 0, 0], [0, 0, 0], [0, 0, 0]])
+    # from_block_vector coerces the same way; a string "0" is a zero entry, not kept
+    size = len(block_coordinates(sl2, zero))
+    vec = ["1/2", 0, 2, Fraction(-3, 4), "0"] + [0] * (size - 5)
+    E = GradedMap.from_block_vector(sl2, zero, vec)
+    assert E.entries == ((0, half), (2, sl2.scalar(2)), (3, sl2.scalar(Fraction(-3, 4))))
+    assert all(type(c) is CycloScalar and c.conductor == 1 for _, c in E.entries)
+    assert E == GradedMap(sl2, zero, E.matrix)
+    assert GradedMap.from_block_vector(sl2, zero, ["0"] * size).is_zero()
+    # the oracle multiplies the stored entries by scalars
+    assert not derivations.is_n_derivation(sl2, E, 2)
+    with pytest.raises(ParseError):
+        GradedMap.from_block_vector(sl2, zero, ["1/"] + [0] * (size - 1))
+    with pytest.raises(NotDivisible):
+        GradedMap.from_block_vector(sl2, zero, [CycloScalar.root(3)] + [0] * (size - 1))
 
 
 @cache
@@ -258,12 +281,50 @@ def test_block_layout_agrees_with_the_dense_view(case):
         grid = D.matrix
         assert GradedMap(a, g, grid) == D
         assert D.block_vector() == tuple(vec)
+        # the stored form: the nonzero (position, value) pairs of the drawn vector
+        assert D.entries == tuple((p, c) for p, c in enumerate(vec) if c)
         dense = tuple(
             sum((grid[k][j] * v[j] for j in range(a.dim)), a.zero_scalar()) for k in range(a.dim)
         )
         assert D.apply(v) == dense
     got, ref = map_bracket(d1, d2), _dense_bracket(d1, d2)
     assert got.degree == ref.degree and got == ref and got.matrix == ref.matrix
+    grid = ref.matrix
+    dense = [grid[k][j] for k, j in block_coordinates(a, got.degree)]
+    assert got.entries == tuple((p, c) for p, c in enumerate(dense) if c)
     if g1 != g2:
         assert GradedMap.zero(a, g1) == GradedMap.zero(a, g2)
         assert (d1 == d2) == (d1.is_zero() and d2.is_zero())
+
+
+def _assert_stored_form(D):
+    # strictly increasing positions inside the block, nonzero CycloScalar values
+    positions = [p for p, _ in D.entries]
+    assert all(0 <= p < len(block_coordinates(D.algebra, D.degree)) for p in positions)
+    assert all(p < q for p, q in zip(positions, positions[1:]))
+    assert all(type(c) is CycloScalar and c and c.conductor == D.algebra.conductor for _, c in D.entries)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("torus3", "r11"))
+@pytest.mark.parametrize("n", (2, 3))
+def test_every_built_map_holds_the_stored_form(name, n, monkeypatch):
+    # the ad maps and basis maps everywhere; on the perfect, centerless entries
+    # also delta and part 2's witnesses, with the targets each was solved from
+    a = _algebra(name)
+    maps = list(_ad_basis(a)) + n_derivation_space(a, n).basis_maps()
+    theorem = a.is_perfect() and not a.center().dim
+    assert theorem == (name in ("sl2", "colorSl2", "osp12"))
+    if theorem:
+        solved = []
+
+        def recording(a, degree, targets):
+            D = _ad_preimages(a, degree, (solved.append(t) or t for t in targets))
+            solved.append(D)
+            return D
+
+        monkeypatch.setattr(derivations, "_ad_preimages", recording)
+        maps += [delta(a, D, n) for D in n_derivation_space(a, n).basis_maps()]
+        assert verify_second_statement(a, n).passed
+        maps += solved
+    for D in maps:
+        _assert_stored_form(D)

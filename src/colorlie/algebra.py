@@ -307,8 +307,8 @@ class ColorAlgebra:
             if nz[i][j] or nz[j][i]:
                 # [e_i, e_j] + eps(i, j) [e_j, e_i], times zeta^(m - e) if that shift is shorter
                 e = eps[i][j]
-                shifts = (0, e) if 2 * e <= m else (m - e, 0)
-                if _nonzero_sum([(t, (1,), pairs) for t, pairs in zip(shifts, (nz[i][j], nz[j][i]))], m):
+                t, s = (0, e) if 2 * e <= m else (m - e, 0)
+                if _nonzero_sum([(t, ((j, (1,)),), nz[i]), (s, ((i, (1,)),), nz[j])], m):
                     report.antisymmetry.append((i, j))
         # the cyclic sum of (i, j, k) has the same three terms as those of
         # (j, k, i) and (k, i, j), so it is summed once per rotation class, and
@@ -320,8 +320,9 @@ class ColorAlgebra:
                     continue
                 rotations = {(i, j, k), (j, k, i), (k, i, j)}
                 seen |= rotations
-                shifted = ((eps[k][i], (i, j, k)), (eps[i][j], (j, k, i)), (eps[j][k], (k, i, j)))
-                if _nonzero_sum([(t, c, nz[x][l]) for t, (x, y, z) in shifted for l, c in nz[y][z]], m):
+                # zeta^t c[y][z][l] c[x][l][p] per rotation (x, y, z), t the exponent of eps(z, x)
+                ni, nj, nk = nz[i], nz[j], nz[k]
+                if _nonzero_sum([(eps[k][i], nj[k], ni), (eps[i][j], nk[i], nj), (eps[j][k], ni[j], nk)], m):
                     report.jacobi.extend(rotations)
         report.jacobi.sort()
         return report

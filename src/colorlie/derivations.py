@@ -624,13 +624,13 @@ def _compat_misses(space: DerivationSpace, p: int) -> tuple:
     den = lcm(*(c.den for _, c in D.entries))
     cols = [[(k, tuple(x * (den // c.den) for x in c.num)) for k, c in col] for col in _columns(D)]
     neg = [[(k, tuple(-x for x in b)) for k, b in col] for col in cols]
+    by_col = tuple(zip(*nz))  # by_col[j][l] = nz[l][j]
     found = []
     for i in range(a.dim):
         t, nzi = a.bichar.exponent(D.degree, a.degrees[i]), nz[i]
         for j in range(a.dim):
             # minus the identity at k: -c[i][j][l] B[k][l] + B[l][i] c[l][j][k] + zeta^t B[l][j] c[i][l][k]
-            terms = [(0, c, neg[l]) for l, c in nzi[j]] + [(0, b, nz[l][j]) for l, b in cols[i]]
-            if _nonzero_sum(terms + [(t, b, nzi[l]) for l, b in cols[j]], m):
+            if _nonzero_sum([(0, nzi[j], neg), (0, cols[i], by_col[j]), (t, cols[j], nzi)], m):
                 found.append(i)
                 break
     return tuple(found)

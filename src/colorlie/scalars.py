@@ -143,13 +143,14 @@ def _add_product(acc: list, shift: int, a: tuple, b: tuple) -> None:
 
 
 def _nonzero_sum(terms, m: int) -> bool:
-    # whether some coordinate k of the sum of x^t * u * v over (t, u, pairs) in terms and (k, v)
-    # in pairs is nonzero mod Phi_m; u, v are integer numerators, t < m, and each k is reduced once
-    size = m + 2 * totient(m) - 2  # x^t times a product of two numerators
+    # whether some k of the sum of x^t * u * v over (t, us, rows) in terms, (l, u) in us and (k, v)
+    # in rows[l] is nonzero mod Phi_m; u, v are integer numerators, t < m; each k is reduced once
+    size = m + 2 * _phi_terms(m)[0] - 2  # x^t times a product of two numerators
     acc = {}
-    for t, u, pairs in terms:
-        for k, v in pairs:
-            _add_product(acc.get(k) or acc.setdefault(k, [0] * size), t, u, v)
+    for t, us, rows in terms:
+        for l, u in us:
+            for k, v in rows[l]:
+                _add_product(acc.get(k) or acc.setdefault(k, [0] * size), t, u, v)
     return any(any(_reduce_int(w, m)) for w in acc.values() if any(w))
 
 

@@ -353,7 +353,10 @@ def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
     d = a.dim
     m = a.conductor
     table, ahead = _basis_bracket_table(a, n)
-    known = inner_derivation_space(a).blocks if a.check_axioms().ok else {}
+    certified = a.check_axioms().ok
+    known = inner_derivation_space(a).blocks if certified else {}
+    # t2 may equal t1 only where eps(deg t1, deg t1) = -1: the identity at (t, t, ..) is zero otherwise
+    odd = [a.bichar.exponent(g, g) != 0 for g in a.degrees]
     blocks = {}
     for gamma, coords in a.degree_table().blocks.items():
         inner = known.get(gamma) or Subspace.zero(len(coords), m)
@@ -371,7 +374,8 @@ def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
 
         def tuples():
             # depth first, in lexicographic order; enters p + (j,) only when it is
-            # at most one free swap (x for t_i, M[x][t_i] free) from a key's prefix
+            # at most one free swap (x for t_i, M[x][t_i] free) from a key's prefix.
+            # Certified, (t1,) takes t2 > t1 only: (t2, t1, ..) repeats its swap's rows
             stack = [()]
             while stack:
                 p = stack.pop()
@@ -387,6 +391,9 @@ def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
                         break
                     for x, _ in by_input[l]:
                         after.update(ahead.get(p[:i] + (x,) + p[i + 1:], ()))
+                if certified and len(p) == 1:
+                    t1 = p[0]
+                    after = [j for j in after if j > t1 or j == t1 and odd[t1]]
                 stack.extend(p + (j,) for j in sorted(after, reverse=True))
 
         def rows():
@@ -551,15 +558,22 @@ def _ad_preimages(a: ColorAlgebra, degree: GroupElement, targets) -> GradedMap:
     ``degree`` + deg e_j; with a zero center (``_ad_factor`` raises otherwise)
     a certified y, homogeneous with ad(y) = target, is zero or of that degree,
     as a part of another degree would be central. So column j lies in the
-    block; the grid constructor still checks that once per map.
+    block; each nonzero y_k is still checked against it (ValueError) and
+    placed at its block position.
     """
-    columns = []
+    table = a.degree_table()
+    entries = {}
     for j, target in enumerate(targets):
         try:
-            columns.append(_solve_ad_preimage(a, target))
+            y = _solve_ad_preimage(a, target)
         except NoSolution as exc:
             raise NoSolution(f"the target for e_{j} fell outside ad(L)") from exc
-    return GradedMap(a, degree, zip(*columns))
+        for k, c in enumerate(y):
+            if c:
+                if table.differences[k][j] != degree:
+                    raise ValueError(f"entry ({k}, {j}) violates the degree-{degree} block support")
+                entries[table.positions[k, j]] = c
+    return GradedMap._of(a, degree, _sorted_pairs(entries))
 
 
 def delta(a: ColorAlgebra, D: GradedMap, n: int) -> GradedMap:

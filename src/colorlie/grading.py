@@ -49,7 +49,7 @@ class GradingGroup:
         return GroupElement(self, residues)
 
     def zero(self) -> "GroupElement":
-        return GroupElement(self, (0,) * self.rank)
+        return GroupElement._of(self, (0,) * self.rank)
 
     def elements(self) -> list["GroupElement"]:
         """All |G| elements in lexicographic order of residue vectors."""
@@ -69,7 +69,7 @@ class GradingGroup:
 def _elements(group: GradingGroup) -> tuple:
     # built once per group: a derivation space lists every element
     return tuple(
-        GroupElement(group, res) for res in product(*(range(n) for n in group.orders))
+        GroupElement._of(group, res) for res in product(*(range(n) for n in group.orders))
     )
 
 
@@ -88,6 +88,14 @@ class GroupElement:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "residues", residues)
 
+    @staticmethod
+    def _of(group: GradingGroup, residues: tuple) -> "GroupElement":
+        # the private path, for residues already reduced: nothing is converted or checked
+        g = object.__new__(GroupElement)
+        object.__setattr__(g, "group", group)
+        object.__setattr__(g, "residues", residues)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
 
@@ -96,15 +104,21 @@ class GroupElement:
             return NotImplemented
         if len(self.residues) != len(other.residues):
             raise ArityMismatch("adding elements of different ranks")
-        return GroupElement(
-            self.group, tuple(a + b for a, b in zip(self.residues, other.residues))
-        )
+        return GroupElement._of(self.group, tuple(
+            (a + b) % n for a, b, n in zip(self.residues, other.residues, self.group.orders)
+        ))
 
     def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, tuple(-a for a in self.residues))
+        return GroupElement._of(self.group, tuple(-a % n for a, n in zip(self.residues, self.group.orders)))
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        if len(self.residues) != len(other.residues):
+            raise ArityMismatch("adding elements of different ranks")
+        return GroupElement._of(self.group, tuple(
+            (a - b) % n for a, b, n in zip(self.residues, other.residues, self.group.orders)
+        ))
 
     def is_zero(self) -> bool:
         return not any(self.residues)

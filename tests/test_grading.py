@@ -27,6 +27,25 @@ def test_arity_mismatch():
     h = GradingGroup([2])
     with pytest.raises(ArityMismatch):
         g.element((1, 0)) + h.element((1,))
+    with pytest.raises(ArityMismatch):
+        g.element((1, 0)) - h.element((1,))
+
+
+@pytest.mark.parametrize("orders", ([], [2], [3], [2, 2], [4, 6], [3, 3, 2]))
+def test_arithmetic_equals_the_public_constructor(orders):
+    # +, - and negation build their results from reduced residues; the public
+    # constructor converts and reduces what it is given
+    G = GradingGroup(orders)
+    for x in G.elements():
+        a = x.residues
+        assert -x == G.element([-r for r in a]) and hash(-x) == hash(G.element([-r for r in a]))
+        for y in G.elements():
+            b = y.residues
+            for got, want in ((x + y, [r + s for r, s in zip(a, b)]), (x - y, [r - s for r, s in zip(a, b)])):
+                assert got == G.element(want) and hash(got) == hash(G.element(want))
+                assert all(type(r) is int and 0 <= r < n for r, n in zip(got.residues, orders))
+    if orders:
+        assert G.element([str(n + 1) for n in orders]).residues == (1,) * len(orders)
 
 
 def test_exponent():

@@ -8,12 +8,15 @@ used, and the tests show it must not be.
 
 The rows each block streams are checked against a brute-force system built
 from ``left_normed_bracket``, and the computed spaces and verdicts against
-the same algebra after a graded basis change.
+the same algebra after a graded basis change. On certified input the route
+streams one tuple of each swapped pair (t1, t2, ..), (t2, t1, ..): the
+brute-force system shows that the skipped half repeats the kept rows.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +32,7 @@ from colorlie.derivations import (
     verify_second_statement,
 )
 from colorlie.errors import PreconditionFailed
+from colorlie.fileio import parse_algebra
 from colorlie.grading import Bicharacter, GradingGroup
 from colorlie.linalg import _kernel_from_pairs, _pairs, kernel_from_rows
 from colorlie.scalars import CycloScalar
@@ -50,28 +54,37 @@ def _torus3():
     return ColorAlgebra(group, bichar, elements, constants)
 
 
+R11 = Path(__file__).resolve().parent / "data" / "r11.json"
+
+
 def _fresh(name):
-    return _torus3() if name == "torus3" else catalog.get(name)
+    if name == "torus3":
+        return _torus3()
+    if name == "r11":
+        return parse_algebra(R11.read_text(encoding="utf-8"))
+    return catalog.get(name)
 
 
-def _full_stream(a, n, monkeypatch):
+def _full_stream(a, n):
     """The space computed with the axiom certificate forced to fail."""
     fresh = ColorAlgebra(a.group, a.bichar, a.degrees, a.constants, names=a.names)
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ColorAlgebra, "check_axioms", lambda self: AxiomReport(jacobi=[(0, 0, 0)]))
         return n_derivation_space(fresh, n)
 
 
-@pytest.mark.parametrize("name", CATALOG + ("torus3",))
-@pytest.mark.parametrize("n", (2, 3))
-def test_known_space_route_equals_full_stream(name, n, monkeypatch):
-    a = _fresh(name)
-    assert a.check_axioms().ok
-    fast = n_derivation_space(a, n)
-    slow = _full_stream(a, n, monkeypatch)
+def _assert_same_blocks(fast, slow, *where):
     assert list(fast.blocks) == list(slow.blocks)
     for gamma in fast.blocks:
-        assert fast.blocks[gamma] == slow.blocks[gamma], (name, n, gamma)
+        assert fast.blocks[gamma] == slow.blocks[gamma], (*where, gamma)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("torus3",))
+@pytest.mark.parametrize("n", (2, 3))
+def test_known_space_route_equals_full_stream(name, n):
+    a = _fresh(name)
+    assert a.check_axioms().ok
+    _assert_same_blocks(n_derivation_space(a, n), _full_stream(a, n), name, n)
 
 
 def _jacobi_breaking_sl2():
@@ -85,12 +98,12 @@ def _jacobi_breaking_sl2():
 
 
 @pytest.mark.parametrize("n", (2, 3))
-def test_non_lie_input_takes_the_full_stream(n, monkeypatch):
+def test_non_lie_input_takes_the_full_stream(n):
     a = _jacobi_breaking_sl2()
     report = a.check_axioms()
     assert not report.grading and not report.antisymmetry and report.jacobi
     space = n_derivation_space(a, n)
-    assert space.blocks == _full_stream(a, n, monkeypatch).blocks
+    assert space.blocks == _full_stream(a, n).blocks
     assert all(is_n_derivation(a, D, n) for D in space.basis_maps())
     # the inner maps are not n-derivations here, so taking them as known
     # would have put maps into the answer that fail the identity
@@ -147,22 +160,25 @@ def _dense(row, cols, zero):
     return out
 
 
-def _reference_rows(a, n, gamma, free):
-    """The nonzero rows of D[t] - sum_i eps(gamma, deg t_1 + .. + deg t_(i-1)) [..D(t_i)..]
-    over the free coordinates (r, l), D(e_l) = e_r, in (tuple, output) order."""
+def _basis_brackets(a, n):
+    """[..[e_t1, e_t2], .., e_tn] for every basis n-tuple t, in lexicographic order."""
+    basis = [a.basis_vector(i) for i in range(a.dim)]
+    return {t: a.left_normed_bracket([basis[j] for j in t]) for t in product(range(a.dim), repeat=n)}
+
+
+def _reference_system(a, brackets, gamma, free):
+    """Per basis n-tuple t, in lexicographic order: the d rows, one per output
+    coordinate, of D[t] - sum_i eps(gamma, deg t_1 + .. + deg t_(i-1)) [..D(t_i)..]
+    over the free coordinates (r, l), D(e_l) = e_r."""
     d = a.dim
-    basis = [a.basis_vector(i) for i in range(d)]
-    brackets = {
-        t: a.left_normed_bracket([basis[j] for j in t]) for t in product(range(d), repeat=n)
-    }
     zero = a.zero_scalar()
-    out = []
+    system = {}
     for t, bracket in brackets.items():
         rows = [[zero] * len(free) for _ in range(d)]
         for col, (r, l) in enumerate(free):
             rows[r][col] += bracket[l]
         s = a.group.zero()
-        for i in range(n):
+        for i in range(len(t)):
             e = a.bichar.eps(gamma, s)
             for col, (r, l) in enumerate(free):
                 if t[i] == l:
@@ -170,25 +186,47 @@ def _reference_rows(a, n, gamma, free):
                     for k in range(d):
                         rows[k][col] -= e * term[k]
             s = s + a.degrees[t[i]]
-        out.extend(row for row in rows if any(row))
-    return out
+        system[t] = rows
+    return system
+
+
+def _kept(a, t):
+    """Whether a certified stream takes t: t2 > t1, or t2 = t1 with eps(deg t1, deg t1) = -1."""
+    g = a.degrees[t[0]]
+    return t[1] > t[0] or t[1] == t[0] and a.bichar.exponent(g, g) != 0
+
+
+def _reference_rows(a, n, gamma, free, kept_only):
+    """(t, row) for the nonzero rows of the reference system in (tuple, output)
+    order, over the kept tuples only when ``kept_only``."""
+    system = _reference_system(a, _basis_brackets(a, n), gamma, free)
+    return [
+        (t, row) for t, rows in system.items() if not kept_only or _kept(a, t)
+        for row in rows if any(row)
+    ]
 
 
 def _check_stream(a, n, monkeypatch):
+    """Match each block's streamed nonzero rows against the reference rows, over
+    the kept tuples where the axiom check passes and over every tuple otherwise.
+    Gives, per block, whether the stream ran out and the tuples of its rows."""
     streams = _streamed(a, n, monkeypatch)
-    known = inner_derivation_space(a).blocks if a.check_axioms().ok else {}
+    certified = a.check_axioms().ok
+    known = inner_derivation_space(a).blocks if certified else {}
     blocks = a.degree_table().blocks
     assert len(streams) == len(blocks)
     zero = a.zero_scalar()
+    seen = []
     for (gamma, coords), (rows, ran_out, _, _) in zip(blocks.items(), streams):
         taken = set(known[gamma].pivots) if gamma in known else set()
         free = [rl for pos, rl in enumerate(coords) if pos not in taken]
-        want = _reference_rows(a, n, gamma, free)
+        want = _reference_rows(a, n, gamma, free, certified)
         got = [_dense(row, len(free), zero) for row in rows if any(row)]
-        assert got == want[:len(got)], (gamma, n)
+        assert got == [row for _, row in want[:len(got)]], (gamma, n)
         if ran_out:
             assert len(got) == len(want), (gamma, n)
-    return streams
+        seen.append((ran_out, [t for t, _ in want[:len(got)]]))
+    return seen
 
 
 @pytest.mark.parametrize("name", CATALOG + ("torus3",))
@@ -201,10 +239,68 @@ def test_heis3_streamed_rows_at_n4(monkeypatch):
     _check_stream(catalog.get("heis3"), 4, monkeypatch)
 
 
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in CATALOG + ("torus3", "r11") for n in (2, 3, 4) if name != "torus3" or n < 4],
+)
+def test_swapped_tuple_rows_are_multiples(name, n):
+    """[y, x] = -eps(y, x) [x, y] makes the identity at (t2, t1, ..) -eps(deg t2, deg t1)
+    times that at (t1, t2, ..), and the identity at (t, t, ..) zero where eps(deg t, deg t) = 1:
+    every tuple t a certified stream skips, t[0] >= t[1], repeats rows it keeps."""
+    a = _fresh(name)
+    assert a.check_axioms().ok
+    brackets = _basis_brackets(a, n)
+    for gamma, coords in a.degree_table().blocks.items():
+        system = _reference_system(a, brackets, gamma, coords)
+        for t, rows in system.items():
+            if _kept(a, t):
+                continue
+            if t[0] == t[1]:
+                assert not any(map(any, rows)), (name, n, gamma, t)
+            else:
+                e = -a.bichar.eps(a.degrees[t[0]], a.degrees[t[1]])
+                kept = system[(t[1], t[0]) + t[2:]]
+                assert rows == [[e * v for v in row] for row in kept], (name, n, gamma, t)
+
+
 @pytest.mark.parametrize("n", (2, 3))
 def test_jacobi_breaking_sl2_streams_every_row(n, monkeypatch):
-    streams = _check_stream(_jacobi_breaking_sl2(), n, monkeypatch)
-    assert all(ran_out for _, ran_out, _, _ in streams)
+    seen = _check_stream(_jacobi_breaking_sl2(), n, monkeypatch)
+    assert all(ran_out for ran_out, _ in seen)
+    # the half a certified stream skips was streamed and matched
+    assert any(t[0] > t[1] for _, tuples in seen for t in tuples)
+
+
+def _antisymmetry_breaking_osp12():
+    """osp12 with the first nonzero c[i][j][k], i < j, doubled and c[j][i][k] kept:
+    graded, and not antisymmetric."""
+    osp = catalog.get("osp12")
+    constants = [[list(row) for row in plane] for plane in osp.constants]
+    i, j, k = next(
+        (i, j, k) for i, j, k in product(range(osp.dim), repeat=3) if i < j and constants[i][j][k]
+    )
+    constants[i][j][k] = constants[i][j][k] + constants[i][j][k]
+    return ColorAlgebra(osp.group, osp.bichar, osp.degrees, constants, names=osp.names)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_antisymmetry_breaking_input_streams_every_tuple(n, monkeypatch):
+    a = _antisymmetry_breaking_osp12()
+    report = a.check_axioms()
+    assert not report.grading and report.antisymmetry
+    # the swap rule fails here: some (t2, t1, ..) is no multiple of (t1, t2, ..)
+    brackets = _basis_brackets(a, n)
+    broken = False
+    for gamma, coords in a.degree_table().blocks.items():
+        system = _reference_system(a, brackets, gamma, coords)
+        for t, rows in system.items():
+            if t[0] > t[1]:
+                e = -a.bichar.eps(a.degrees[t[0]], a.degrees[t[1]])
+                broken |= rows != [[e * v for v in row] for row in system[(t[1], t[0]) + t[2:]]]
+    assert broken
+    seen = _check_stream(a, n, monkeypatch)
+    assert any(t[0] > t[1] for _, tuples in seen for t in tuples)
+    assert n_derivation_space(a, n).blocks == _full_stream(a, n).blocks
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -303,3 +399,16 @@ def test_graded_basis_change_keeps_spaces_and_verdicts(name, data):
     b = _changed_basis(a, perm, scales, shears)
     assert b.check_axioms().ok
     assert _invariants(b) == _base_invariants(name)
+
+
+@pytest.mark.parametrize("name", ("sl2", "heis3", "colorSl2", "osp12"))
+@settings(deadline=None)
+@given(data=st.data())
+def test_pruned_route_equals_full_stream_after_basis_change(name, data):
+    """The certified route, which skips one tuple of each swapped pair and takes the
+    inner part as known, against the full stream on a permuted, scaled and sheared basis."""
+    a = _fresh(name)
+    b = _changed_basis(a, *data.draw(_graded_basis_changes(a.degrees)))
+    assert b.check_axioms().ok
+    for n in (2, 3):
+        _assert_same_blocks(n_derivation_space(b, n), _full_stream(b, n), name, n)

@@ -328,3 +328,22 @@ def test_every_built_map_holds_the_stored_form(name, n, monkeypatch):
         maps += solved
     for D in maps:
         _assert_stored_form(D)
+
+
+@pytest.mark.parametrize("name", ("sl2", "colorSl2", "osp12", "torus3/Z"))
+def test_preimage_maps_equal_the_grid_built_from_their_columns(name):
+    # the reference: the certified columns zipped into a d x d grid through the public constructor
+    a = _algebra(name)
+    for D in n_derivation_space(a, 2).basis_maps() + list(_ad_basis(a)):
+        columns = [_solve_ad_preimage(a, map_bracket(D, x)) for x in _ad_basis(a)]
+        assert delta(a, D, 2) == GradedMap(a, D.degree, zip(*columns)), name
+
+
+def test_a_preimage_column_outside_the_block_raises(monkeypatch):
+    # a certified column cannot leave the block on a centerless algebra, so the
+    # solve is replaced by one that puts e_k, odd, into column 0, even
+    a = catalog.get("osp12")
+    k = next(i for i, g in enumerate(a.degrees) if g != a.group.zero())
+    monkeypatch.setattr(derivations, "_solve_ad_preimage", lambda a, target: a.basis_vector(k))
+    with pytest.raises(ValueError, match=rf"entry \({k}, 0\) violates the degree-deg\(0,\) block support"):
+        _ad_preimages(a, a.group.zero(), _ad_basis(a))

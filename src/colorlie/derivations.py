@@ -36,7 +36,15 @@ block is taken as known (see ``n_derivation_space``).
 
 Constraint rows are ordered lexicographically over
 (degree, x1..xn, output coordinate); together with canonical echelon
-forms this makes every computed space reproducible bit for bit.
+forms this makes every computed space reproducible bit for bit. Where the
+axiom check passes, a prefix (t1,) takes only t2 > t1, or t2 = t1 where
+eps(deg t1, deg t1) = -1. The identity at (t2, t1, ..) is -eps(deg t2, deg t1)
+times that at (t1, t2, ..): [y, x] = -eps(y, x)[x, y], applied to the
+innermost bracket, maps each of its terms onto one of the other's, the
+twists matching as eps(gamma, t2) eps(t2, gamma) = 1. At (t, t, ..) the
+identity is zero where eps(deg t, deg t) = 1. The kept tuple comes first,
+so the rank after every position of the full stream, the early exit and
+the bases are unchanged.
 """
 
 from __future__ import annotations
@@ -322,9 +330,11 @@ def n_derivation_space(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_N) -
     """Kernel, per degree, of the defining identity on all basis n-tuples.
 
     n = 2 is the ordinary derivation space Der. Per degree, rows are built
-    for the tuples at most one free swap from a nonzero bracket, up to
-    d^n * d on a perfect algebra, so n is capped (default 4); pass a larger
-    max_n to override deliberately.
+    for the tuples at most one free swap from a nonzero bracket, and on
+    input that passes the axiom check for one tuple of each pair
+    (t1, t2, ..), (t2, t1, ..) (see the module docstring). Their number
+    grows as d^n on a perfect algebra, so n is capped (default 4); pass a
+    larger max_n to override deliberately.
 
     On a Lie color algebra (the axiom check passes) every
     ad x is a derivation, hence an n-derivation, of degree deg x, so each
@@ -355,8 +365,6 @@ def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
     table, ahead = _basis_bracket_table(a, n)
     certified = a.check_axioms().ok
     known = inner_derivation_space(a).blocks if certified else {}
-    # t2 may equal t1 only where eps(deg t1, deg t1) = -1: the identity at (t, t, ..) is zero otherwise
-    odd = [a.bichar.exponent(g, g) != 0 for g in a.degrees]
     blocks = {}
     for gamma, coords in a.degree_table().blocks.items():
         inner = known.get(gamma) or Subspace.zero(len(coords), m)
@@ -374,8 +382,7 @@ def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
 
         def tuples():
             # depth first, in lexicographic order; enters p + (j,) only when it is
-            # at most one free swap (x for t_i, M[x][t_i] free) from a key's prefix.
-            # Certified, (t1,) takes t2 > t1 only: (t2, t1, ..) repeats its swap's rows
+            # at most one free swap (x for t_i, M[x][t_i] free) from a key's prefix
             stack = [()]
             while stack:
                 p = stack.pop()
@@ -392,8 +399,9 @@ def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
                     for x, _ in by_input[l]:
                         after.update(ahead.get(p[:i] + (x,) + p[i + 1:], ()))
                 if certified and len(p) == 1:
-                    t1 = p[0]
-                    after = [j for j in after if j > t1 or j == t1 and odd[t1]]
+                    # (t2, t1, ..) repeats the rows of (t1, t2, ..); (t, t, ..) is zero unless eps(t, t) = -1
+                    t1, g = p[0], a.degrees[p[0]]
+                    after = [j for j in after if j > t1 or j == t1 and a.bichar.exponent(g, g)]
                 stack.extend(p + (j,) for j in sorted(after, reverse=True))
 
         def rows():

@@ -115,7 +115,7 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         if len(self.residues) != len(other.residues):
-            raise ArityMismatch("adding elements of different ranks")
+            raise ArityMismatch("subtracting elements of different ranks")
         return GroupElement._of(self.group, tuple(
             (a - b) % n for a, b, n in zip(self.residues, other.residues, self.group.orders)
         ))

@@ -343,6 +343,7 @@ def test_a_preimage_column_outside_the_block_raises(monkeypatch):
     # a certified column cannot leave the block on a centerless algebra, so the
     # solve is replaced by one that puts e_k, odd, into column 0, even
     a = catalog.get("osp12")
+    assert a.degrees[0] == a.group.zero()
     k = next(i for i, g in enumerate(a.degrees) if g != a.group.zero())
     monkeypatch.setattr(derivations, "_solve_ad_preimage", lambda a, target: a.basis_vector(k))
     with pytest.raises(ValueError, match=rf"entry \({k}, 0\) violates the degree-deg\(0,\) block support"):

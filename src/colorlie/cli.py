@@ -21,6 +21,7 @@ from functools import cache
 from . import catalog
 from .derivations import (
     DEFAULT_MAX_N,
+    _dim,
     n_derivation_space,
     verify_ad_compat,
     verify_centralizer_trivial,
@@ -143,17 +144,17 @@ def _cmd_invariants(a, args, report, lines):
 
 def _cmd_der(a, args, report, lines):
     space = n_derivation_space(a, args.n, max_n=args.max_n)
-    blocks = []
-    # basis_maps() lists one map per block row, blocks in walk() order
+    # basis_maps() lists one map per block row, blocks in group order, as the columns take them
     maps = iter(space.basis_maps())
-    for gamma, sub in space.walk():
-        basis = [
-            [[format_scalar(c) for c in row] for row in next(maps).matrix]
-            for _ in sub.rows
-        ]
-        blocks.append(
-            {"degree": list(gamma.residues), "dim": sub.dim, "basis_maps": basis}
-        )
+
+    def basis_texts(gamma, sub) -> list:
+        return [[[format_scalar(c) for c in row] for row in next(maps).matrix] for _ in sub.rows]
+
+    residues, (dims, bases) = space._columns(_dim, basis_texts)
+    blocks = [
+        {"degree": deg, "dim": dim, "basis_maps": basis}
+        for deg, dim, basis in zip(residues, dims, bases)
+    ]
     report["n"] = args.n
     report["total_dim"] = space.total_dim
     report["blocks"] = blocks

@@ -209,14 +209,24 @@ def _empty_block(conductor: int) -> Subspace:
     return Subspace.zero(0, conductor)
 
 
+# fields of DerivationSpace._columns
+def _block(gamma, sub):
+    return sub
+
+
+def _dim(gamma, sub) -> int:
+    return sub.dim
+
+
 class DerivationSpace:
     """A per-degree direct sum of graded-map spaces, held on the support only.
 
     ``blocks`` holds one block per degree of the support (the keys of
     ``ColorAlgebra.degree_table().blocks``), in group order; a support
     degree the caller left out holds the zero space of ambient dimension 0.
-    ``walk()`` lists every degree of the group, in group order, with that
-    same shared zero space off the support, for the reports that list them all.
+    The reports list every degree of the group, in group order, with that
+    same shared zero space off the support: ``_columns`` builds their lists
+    one field at a time, and ``walk()`` pairs each degree with its block.
 
     The space owns its basis layout: ``basis_maps()`` lists the block bases
     degree by degree, and ``coordinates(D)`` gives D's coefficients in that
@@ -248,20 +258,30 @@ class DerivationSpace:
         raise AttributeError("DerivationSpace is immutable")
 
     def walk(self):
-        """(gamma, block) for every degree of the group, in group order.
+        """(gamma, block) for every degree of the group, in group order."""
+        _, (blocks,) = self._columns(_block)
+        return zip(self.algebra.group.elements(), blocks)
 
-        Merges the support blocks, which are in group order, into the group's
-        elements by residue vectors, so no degree is hashed.
+    def _columns(self, *fields) -> tuple:
+        """The residues of every degree of the group, in group order, and one
+        list per field over the same degrees.
+
+        A field is called as field(gamma, block) on each support block, in
+        group order, and once as field(None, empty) for the shared zero space,
+        whose value prefills the list. Group order is the mixed-radix order of
+        the residues, so each support block is written in at its index and no
+        degree is hashed or searched for.
         """
+        group = self.algebra.group
         empty = _empty_block(self.algebra.conductor)
-        support = iter(self.blocks.items())
-        head = next(support, None)
-        for gamma in self.algebra.group.elements():
-            if head is not None and head[0].residues == gamma.residues:
-                yield head
-                head = next(support, None)
-            else:
-                yield gamma, empty
+        columns = [[f(None, empty)] * group.size for f in fields]
+        for gamma, sub in self.blocks.items():
+            i = 0
+            for r, order in zip(gamma.residues, group.orders):
+                i = i * order + r
+            for column, f in zip(columns, fields):
+                column[i] = f(gamma, sub)
+        return list(map(list, product(*map(range, group.orders)))), columns
 
     def basis_maps(self) -> list:
         """Every block-basis vector as a GradedMap, in canonical order; built once, listed afresh."""
@@ -693,11 +713,10 @@ def derivation_color_algebra(a: ColorAlgebra, space: DerivationSpace) -> ColorAl
 
 def _compare_blocks(s: DerivationSpace, t: DerivationSpace) -> tuple:
     """Per degree, in group order: (residues, dim in s, dim in t, equal); and all equal."""
-    rows = [
-        (list(gamma.residues), x.dim, y.dim, x is y or x == y)
-        for (gamma, x), (_, y) in zip(s.walk(), t.walk())
-    ]
-    return rows, all(row[3] for row in rows)
+    residues, (s_dims, xs) = s._columns(_dim, _block)
+    _, (t_dims, ys) = t._columns(_dim, _block)
+    equal = [x is y or x == y for x, y in zip(xs, ys)]
+    return list(zip(residues, s_dims, t_dims, equal)), all(equal)
 
 
 @dataclass
@@ -968,18 +987,20 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
         raise PreconditionFailed("centralizer check needs a perfect algebra")
     nder = n_derivation_space(a, n, max_n=max_n)
     maps = _basis_maps(nder)
-    dims = []
-    for gamma, sub in nder.walk():
-        r = dim = sub.dim
-        if r:
-            start = nder._offsets[gamma]
-            # one ad(e_j) at a time, so no bracket is built once the rows reach rank r
-            brackets = ([map_bracket(B, x) for B in maps[start:start + r]] for x in _ad_basis(a))
-            # the brackets with one ad(e_j) share the degree gamma + deg e_j
-            rows = (row for bs in brackets for row in zip(*(B.block_vector() for B in bs)))
-            dim = kernel_from_rows(rows, r, a.conductor).dim
-        dims.append((list(gamma.residues), dim))
-    return CentralizerReport(n, dims, sum(dim for _, dim in dims))
+
+    def kernel_dim(gamma, sub) -> int:
+        r = sub.dim
+        if not r:
+            return 0
+        start = nder._offsets[gamma]
+        # one ad(e_j) at a time, so no bracket is built once the rows reach rank r
+        brackets = ([map_bracket(B, x) for B in maps[start:start + r]] for x in _ad_basis(a))
+        # the brackets with one ad(e_j) share the degree gamma + deg e_j
+        rows = (row for bs in brackets for row in zip(*(B.block_vector() for B in bs)))
+        return kernel_from_rows(rows, r, a.conductor).dim
+
+    residues, (dims,) = nder._columns(kernel_dim)
+    return CentralizerReport(n, list(zip(residues, dims)), sum(dims))
 
 
 @dataclass

@@ -21,7 +21,7 @@ from __future__ import annotations
 import io
 import json
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -107,6 +107,8 @@ def algebra_from_dict(doc: dict) -> ColorAlgebra:
     for idx, entry in enumerate(brackets):
         _expect_keys(entry, {"left", "right", "result"}, f"brackets[{idx}]")
         for side in ("left", "right"):
+            if not isinstance(entry[side], str):
+                raise ParseError(f"brackets[{idx}].{side} must be a string")
             if entry[side] not in index:
                 raise ParseError(
                     f"brackets[{idx}].{side}: unknown basis name {entry[side]!r}"
@@ -195,10 +197,16 @@ def json_text(obj) -> str:
 
     Dicts, and lists that hold containers, are streamed into one buffer.
     Every item of such a list is rendered whole, a batch of items at a time
-    and value by value across the batch: dicts that share a key set fill
-    one template of their sorted keys, and the leaves of one type under a
-    run of lists are one ``str.join``. Each batch is one write, so the
-    buffer holds few pieces however long the list.
+    and value by value across the batch. Dicts that share a key set fill
+    one %-template of their sorted keys: the set is shared when every dict
+    has as many keys as the first and one ``itemgetter`` pass over the
+    first's keys raises no KeyError; otherwise the dicts are grouped by key
+    set. Lists of one length fill one %-template per length and
+    indentation, and lists of several lengths are grouped by length. An
+    all-int column or run of items fills the ``%s`` slots as it is, an
+    int's ``%s`` being its JSON text; ``bool`` is not taken for ``int``.
+    Each batch is one write, so the buffer holds few pieces however long
+    the list.
     """
     out = io.StringIO()
     _write(obj, out, "\n")
@@ -249,26 +257,38 @@ def _texts(objs, newline: str) -> list:
         return list(map(leaf, objs))
     inner = newline + "  "
     if issubclass(kind, dict):
-        keysets = set(map(frozenset, objs))
-        if len(keysets) > 1:
+        keys = objs[0].keys()
+        if set(map(len, objs)) != {len(keys)}:
             return _grouped_texts(objs, newline, frozenset)
-        keys = keysets.pop()
         if not keys:
             return ["{}"] * len(objs)
-        template, _, values = _dict_template(keys, newline)
-        # one column of texts per key, then one template fill per dict
-        columns = [_texts(column, inner) for column in zip(*map(values, objs))]
+        template, _, values = _dict_template(frozenset(keys), newline)
+        try:
+            rows = list(map(values, objs))
+        except KeyError:
+            # as many keys as the first dict, but not the same ones
+            return _grouped_texts(objs, newline, frozenset)
+        # one column of slot values per key, then one template fill per dict
+        columns = [_slots(column, inner) for column in zip(*rows)]
         return list(map(template.__mod__, zip(*columns)))
     if issubclass(kind, (list, tuple)):
-        # the items of all the lists, rendered together, then cut back
-        lengths = list(map(len, objs))
-        items = iter(_texts(list(chain.from_iterable(objs)), inner))
-        joined = map(("," + inner).join, map(islice, repeat(items), lengths))
-        return [
-            f"[{inner}{text}{newline}]" if n else "[]"
-            for text, n in zip(joined, lengths)
-        ]
+        lengths = set(map(len, objs))
+        if len(lengths) != 1:
+            return _grouped_texts(objs, newline, len)
+        n = lengths.pop()
+        if not n:
+            return ["[]"] * len(objs)
+        # the items of all the lists, rendered together, then n per template fill
+        items = _slots(list(chain.from_iterable(objs)), inner)
+        return list(map(_list_template(n, newline).__mod__, zip(*[iter(items)] * n)))
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _slots(objs, newline: str) -> list:
+    """What fills each of objs' %s slots: an int as it is, its %s being its text."""
+    if set(map(type, objs)) == {int}:
+        return objs
+    return _texts(objs, newline)
 
 
 def _grouped_texts(objs, newline: str, group) -> list:
@@ -281,6 +301,13 @@ def _grouped_texts(objs, newline: str, group) -> list:
         for i, text in zip(indices, _texts([objs[i] for i in indices], newline)):
             texts[i] = text
     return texts
+
+
+@lru_cache(maxsize=256)
+def _list_template(n: int, newline: str) -> str:
+    """The %-template of a list of n items at this indentation."""
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(["%s"] * n) + newline + "]"
 
 
 @lru_cache(maxsize=256)

@@ -387,6 +387,24 @@ def test_parse_rejects_booleans_as_integers(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:"), where
 
 
+@pytest.mark.parametrize("side", ("left", "right"))
+@pytest.mark.parametrize("value", (["e"], {"e": "1"}, [], {}, 0, 1.5, None))
+def test_parse_rejects_a_bracket_side_that_is_not_a_string(side, value, tmp_path, capsys):
+    # an array or object used to reach the name lookup and raise "unhashable type"
+    doc = json.loads(serialize_algebra(catalog.get("sl2")))
+    doc["brackets"][0][side] = value
+    with pytest.raises(ParseError, match=rf"^brackets\[0\]\.{side} must be a string$"):
+        parse_algebra(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for call in (run, main):
+        result = call(["check", str(path)])
+        assert result == ((2, "") if call is run else 2)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: brackets[0].{side} must be a string\n"
+
+
 def test_cli_catalog_list_and_emit(tmp_path):
     code, out = run(["catalog", "list"])
     assert code == 0
@@ -480,6 +498,71 @@ def test_json_writer_matches_the_stdlib_on_long_lists():
     ]
     for obj in (blocks, {"blocks": blocks, "mixed": mixed}, [blocks, mixed]):
         assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # dicts of one length whose key sets differ: the key-set test misses
+        [{"a": 1, "b": 2}, {"a": 3, "c": 4}, {"b": 5, "c": [6]}, {"a": 7, "b": 8}],
+        [{"a": 0}, {"b": 0}, {"a": True}],
+        # a dict that holds the first's keys and more, between two that do not
+        [{"a": 1}, {"a": 2, "b": 3}, {"a": 4}],
+        # equal-length lists mixing int and bool
+        [[0, True], [1, False], [True, 2], [3, 4]],
+        [[1], [True], [0], [False]],
+        # an int column broken by one bool, in dicts and in lists
+        [{"x": i, "y": [i]} for i in range(9)] + [{"x": True, "y": [False]}],
+        [[i, -i] for i in range(9)] + [[1, True]],
+        # ints far beyond 64 bits
+        [[10**30, -(10**30)], [0, -1]],
+        [{"k": 10**30}, {"k": -(10**30)}, {"k": 2**64}],
+        # list and tuple degrees, over more than one batch of items
+        [
+            {"degree": [i, -i] if i % 3 else (i, -i), "dim": i % 4, "equal": i % 5 == 0}
+            for i in range(fileio._BATCH * 2 + 7)
+        ],
+        # lists of several lengths, over more than one batch
+        [list(range(i % 4)) for i in range(fileio._BATCH + 9)],
+    ],
+)
+def test_json_writer_matches_the_stdlib_on_the_template_paths(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    assert json_text({"blocks": obj}) == json.dumps({"blocks": obj}, indent=2, sort_keys=True)
+
+
+# runs of lists of one length and of dicts of one size, over few keys, so
+# that key sets repeat and collide
+_short_keys = st.sampled_from(["a", "b", "c", "%s"])
+_slot_leaves = st.one_of(
+    st.integers(-3, 3),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@given(
+    st.integers(0, 3).flatmap(
+        lambda size: st.lists(
+            st.one_of(
+                st.lists(_slot_leaves, min_size=size, max_size=size),
+                st.lists(_slot_leaves, min_size=size, max_size=size).map(tuple),
+                st.dictionaries(_short_keys, _slot_leaves, min_size=size, max_size=size),
+                st.dictionaries(
+                    _short_keys,
+                    st.lists(st.integers(-2, 2), min_size=size, max_size=size),
+                    min_size=size,
+                    max_size=size,
+                ),
+            ),
+            max_size=12,
+        )
+    )
+)
+def test_json_writer_matches_the_stdlib_on_runs_of_one_shape(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_json_writer_template_cache_stays_bounded():

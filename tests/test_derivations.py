@@ -36,7 +36,7 @@ from colorlie.errors import (
 )
 from colorlie.fileio import parse_algebra, serialize_algebra
 from colorlie.grading import Bicharacter, GradingGroup
-from colorlie.linalg import Subspace
+from colorlie.linalg import Subspace, kernel_from_rows
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -165,7 +165,8 @@ def _full_group_rows(s, t):
     return rows, all(row[3] for row in rows)
 
 
-def test_compare_blocks_matches_the_full_group_comparison():
+def _comparison_spaces():
+    # spaces over one group: of one algebra, and of another with another support
     a = _color_heisenberg_z12()
     m = a.conductor
     der = n_derivation_space(a, 2)
@@ -187,11 +188,68 @@ def test_compare_blocks_matches_the_full_group_comparison():
     b = ColorAlgebra(group, a.bichar, degrees, zeros, names=("u", "v", "w"))
     assert set(b.degree_table().blocks) != set(a.degree_table().blocks)
     spaces += [n_derivation_space(b, 2), DerivationSpace(b, 2, {})]
+    return der, spaces
+
+
+def test_compare_blocks_matches_the_full_group_comparison():
+    der, spaces = _comparison_spaces()
     for s in spaces:
         for t in spaces:
             assert derivations._compare_blocks(s, t) == _full_group_rows(s, t)
     assert not derivations._compare_blocks(der, spaces[2])[1]
     assert derivations._compare_blocks(spaces[4], spaces[6])[1]
+
+
+def test_columns_match_the_walk():
+    _, spaces = _comparison_spaces()
+    for space in spaces:
+        group = space.algebra.group
+        empty = derivations._empty_block(space.algebra.conductor)
+        walked = list(space.walk())
+        # the walk, checked against the group and the support blocks by lookup
+        assert [gamma for gamma, _ in walked] == group.elements()
+        assert all(sub is space.blocks.get(gamma, empty) for gamma, sub in walked)
+        residues, (dims, blocks, degrees) = space._columns(
+            lambda gamma, sub: sub.dim, lambda gamma, sub: sub, lambda gamma, sub: gamma
+        )
+        assert residues == [list(gamma.residues) for gamma, _ in walked]
+        assert dims == [sub.dim for _, sub in walked]
+        assert all(x is sub for x, (_, sub) in zip(blocks, walked))
+        assert degrees == [gamma if gamma in space.blocks else None for gamma, _ in walked]
+
+
+def _walked_centralizer_dims(a, nder):
+    # the per-degree loop over walk(), with the basis maps counted off block by block
+    maps = nder.basis_maps()
+    dims = []
+    start = 0
+    for gamma, sub in nder.walk():
+        dim = sub.dim
+        if dim:
+            block_maps = maps[start:start + dim]
+            rows = [
+                row
+                for x in derivations._ad_basis(a)
+                for row in zip(*(map_bracket(B, x).block_vector() for B in block_maps))
+            ]
+            dim = kernel_from_rows(rows, sub.dim, a.conductor).dim
+            start += sub.dim
+        dims.append((list(gamma.residues), dim))
+    return dims
+
+
+def test_centralizer_columns_match_the_walk_over_3600_degrees(monkeypatch):
+    a = parse_algebra((DATA_DIR / "cheis3z60.json").read_text(encoding="utf-8"))
+    assert a.group.size == 3600 and not a.is_perfect()
+    # the lemma refuses an algebra that is not perfect; its per-degree lists are what is checked
+    monkeypatch.setattr(ColorAlgebra, "is_perfect", lambda self: True)
+    for n in (2, 3):
+        report = verify_centralizer_trivial(a, n)
+        expected = _walked_centralizer_dims(a, n_derivation_space(a, n))
+        assert [deg for deg, _ in report.block_dims] == [list(g.residues) for g in a.group.elements()]
+        assert report.block_dims == expected
+        assert report.total_dim == sum(dim for _, dim in expected)
+        assert any(sub.dim for sub in n_derivation_space(a, n).blocks.values())
 
 
 def test_cli_der_lists_every_degree(tmp_path):

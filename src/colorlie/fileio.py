@@ -277,9 +277,11 @@ def _texts(objs, newline: str) -> list:
         n = lengths.pop()
         if not n:
             return ["[]"] * len(objs)
-        # the items of all the lists, rendered together, then n per template fill
+        # the items of all the lists, rendered together, then n per template fill;
+        # the template is not cached, which would keep one as long as the longest list
         items = _slots(list(chain.from_iterable(objs)), inner)
-        return list(map(_list_template(n, newline).__mod__, zip(*[iter(items)] * n)))
+        template = "[" + inner + ("," + inner).join(["%s"] * n) + newline + "]"
+        return list(map(template.__mod__, zip(*[iter(items)] * n)))
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -300,17 +302,6 @@ def _grouped_texts(objs, newline: str, group) -> list:
         for i, text in zip(indices, _texts([objs[i] for i in indices], newline)):
             texts[i] = text
     return texts
-
-
-def _list_template(n: int, newline: str) -> str:
-    """The %-template of a list of n items at this indentation.
-
-    Built once per run of lists and not kept: a cache measured no faster on
-    the 3,600-degree reports, and would hold a template as long as the
-    longest list written.
-    """
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(["%s"] * n) + newline + "]"
 
 
 @lru_cache(maxsize=256)

@@ -1,10 +1,11 @@
 """Lie color algebras given by structure constants on a homogeneous basis.
 
 An algebra is a grading group, a bicharacter on it, a degree for each of
-the d basis vectors, and the full table c[i][j][k] with
-[e_i, e_j] = sum_k c[i][j][k] e_k. Constants are stored for ALL ordered
-pairs; antisymmetry is something we validate, not assume, so bad input
-files surface instead of being silently symmetrized.
+the d basis vectors, and the structure constants c[i][j][k] with
+[e_i, e_j] = sum_k c[i][j][k] e_k. It is built from the full d x d x d
+table and keeps, for ALL ordered pairs (i, j), only the nonzero
+(k, c[i][j][k]) pairs; antisymmetry is something we validate, not assume,
+so bad input files surface instead of being silently symmetrized.
 
 Vectors are plain tuples of CycloScalar of length d. A vector is
 homogeneous when its nonzero coordinates all sit at basis indices of one
@@ -93,12 +94,15 @@ class DegreeTable:
 class ColorAlgebra:
     """Finite-dimensional Lie color algebra held by structure constants.
 
-    Immutable after construction. Names are presentation metadata (used by
-    the file format and reports) and do not take part in equality. An
-    invalid bicharacter (``validate``) is refused with ValueError.
+    Immutable after construction. The constructor takes the d x d x d grid
+    and stores only ``_nonzero``: ``_nonzero[i][j]`` is the tuple of (k, c)
+    pairs with c = c[i][j][k] nonzero, k increasing. ``constants`` is a view
+    that rebuilds the grid on each read. Names are presentation metadata
+    (used by the file format and reports) and do not take part in equality.
+    An invalid bicharacter (``validate``) is refused with ValueError.
     """
 
-    __slots__ = ("group", "bichar", "dim", "degrees", "constants", "names", "_cache")
+    __slots__ = ("group", "bichar", "dim", "degrees", "_nonzero", "names", "_cache")
 
     def __init__(self, group: GradingGroup, bichar: Bicharacter, degrees, constants,
                  names=None):
@@ -112,16 +116,16 @@ class ColorAlgebra:
         for g in degrees:
             if not isinstance(g, GroupElement) or g.group != group:
                 raise ValueError("basis degrees must be elements of the grading group")
-        m = group.exponent
-        constants = tuple(
-            tuple(tuple(_coerce_scalar(c, m) for c in row) for row in plane)
-            for plane in constants
-        )
         if len(constants) != d or any(
             len(plane) != d or any(len(row) != d for row in plane)
             for plane in constants
         ):
             raise DimensionMismatch(f"structure constants must be {d}x{d}x{d}")
+        m = group.exponent
+        nonzero = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(_coerce_scalar(x, m) for x in row) if c) for row in plane)
+            for plane in constants
+        )
         if names is None:
             names = tuple(f"e{i + 1}" for i in range(d))
         else:
@@ -132,7 +136,7 @@ class ColorAlgebra:
         object.__setattr__(self, "bichar", bichar)
         object.__setattr__(self, "dim", d)
         object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "_nonzero", nonzero)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "_cache", {})
 
@@ -142,6 +146,19 @@ class ColorAlgebra:
     @property
     def conductor(self) -> int:
         return self.group.exponent
+
+    @property
+    def constants(self) -> tuple:
+        """The grid c[i][j][k] as nested tuples; built on each read."""
+        zero_row = (self.zero_scalar(),) * self.dim
+
+        def row(pairs) -> tuple:
+            out = list(zero_row)
+            for k, c in pairs:
+                out[k] = c
+            return tuple(out)
+
+        return tuple(tuple(row(pairs) if pairs else zero_row for pairs in plane) for plane in self._nonzero)
 
     # -- scalars and vectors ----------------------------------------------
 
@@ -208,36 +225,21 @@ class ColorAlgebra:
     # -- brackets -----------------------------------------------------------
 
     @per_algebra
-    def _nonzero_constants(self):
-        # nz[i][j] = tuple of (k, c[i][j][k]) with c nonzero
-        return tuple(
-            tuple(
-                tuple((k, c) for k, c in enumerate(row) if c)
-                for row in plane
-            )
-            for plane in self.constants
-        )
-
-    @per_algebra
     def _integer_constants(self):
-        # _nonzero_constants times their one common denominator: (k, numerator)
-        nz = self._nonzero_constants()
+        # the nonzero constants times their one common denominator: (k, numerator)
+        nz = self._nonzero
         den = lcm(*(c.den for plane in nz for pairs in plane for _, c in pairs))
         return tuple(
             tuple(tuple((k, tuple(x * (den // c.den) for x in c.num)) for k, c in pairs) for pairs in plane)
             for plane in nz
         )
 
-    def bracket_of_basis(self, i: int, j: int) -> tuple:
-        """[e_i, e_j] as a coefficient vector."""
-        return tuple(self.constants[i][j])
-
     def bracket(self, u, v) -> tuple:
         """Bilinear extension of the structure constants."""
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("bracket arguments must have length dim")
         out = [CycloScalar.zero(self.conductor)] * self.dim
-        nz = self._nonzero_constants()
+        nz = self._nonzero
         for i, ui in enumerate(u):
             if not ui:
                 continue
@@ -275,7 +277,7 @@ class ColorAlgebra:
         differences = self.degree_table().differences
         return tuple(
             (i, j, k)
-            for i, plane in enumerate(self._nonzero_constants())
+            for i, plane in enumerate(self._nonzero)
             for j, pairs in enumerate(plane)
             for k, _ in pairs
             if differences[k][j] != self.degrees[i]
@@ -332,7 +334,7 @@ class ColorAlgebra:
     @per_algebra
     def derived_subalgebra(self) -> Subspace:
         """Span of all brackets of basis pairs, read as sparse rows off the nonzero constants."""
-        rows = (pairs for plane in self._nonzero_constants() for pairs in plane)
+        rows = (pairs for plane in self._nonzero for pairs in plane)
         return Subspace._from_pairs(self.dim, rows, self.conductor)
 
     def is_perfect(self) -> bool:
@@ -354,7 +356,7 @@ class ColorAlgebra:
         if any(len(s) != self.dim for s in vectors):
             raise DimensionMismatch("centralizer argument has wrong length")
         d = self.dim
-        nz = self._nonzero_constants()
+        nz = self._nonzero
 
         def rows():
             for s in vectors:
@@ -382,7 +384,7 @@ class ColorAlgebra:
             self.group == other.group
             and self.bichar == other.bichar
             and self.degrees == other.degrees
-            and self.constants == other.constants
+            and self._nonzero == other._nonzero
         )
 
     def __repr__(self):

@@ -182,7 +182,7 @@ def ad(a: ColorAlgebra, x) -> GradedMap:
     degree = a.degree_of(x)
     table = a.degree_table()
     acc = defaultdict(a.zero_scalar)
-    nz = a._nonzero_constants()
+    nz = a._nonzero
     for i, xi in enumerate(x):
         if xi:
             for j in range(a.dim):
@@ -263,8 +263,8 @@ class DerivationSpace:
         return zip(self.algebra.group.elements(), blocks)
 
     def _columns(self, *fields) -> tuple:
-        """The residues of every degree of the group, in group order, and one
-        list per field over the same degrees.
+        """An iterator over the residues of every degree of the group, each a
+        fresh list, in group order; and one list per field over the same degrees.
 
         A field is called as field(gamma, block) on each support block, in
         group order, and once as field(None, empty) for the shared zero space,
@@ -281,7 +281,7 @@ class DerivationSpace:
                 i = i * order + r
             for column, f in zip(columns, fields):
                 column[i] = f(gamma, sub)
-        return list(map(list, product(*map(range, group.orders)))), columns
+        return map(list, product(*map(range, group.orders))), columns
 
     def basis_maps(self) -> list:
         """Every block-basis vector as a GradedMap, in canonical order; built once, listed afresh."""
@@ -324,7 +324,7 @@ def _basis_bracket_table(a: ColorAlgebra, n: int) -> tuple:
     of a key. Only nonzero prefixes are extended; at most d^n keys are held."""
     d = a.dim
     one = a.one_scalar()
-    nz = a._nonzero_constants()
+    nz = a._nonzero
     level = {(j,): ((j, one),) for j in range(d)}
     for _ in range(n - 1):
         nxt = {}

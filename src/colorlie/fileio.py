@@ -161,12 +161,9 @@ def parse_algebra(text: str) -> ColorAlgebra:
 
 def algebra_to_dict(a: ColorAlgebra) -> dict:
     brackets = []
-    for i in range(a.dim):
+    for i, plane in enumerate(a._nonzero):
         for j in range(i, a.dim):
-            row = a.constants[i][j]
-            result = {
-                a.names[k]: format_scalar(c) for k, c in enumerate(row) if c
-            }
+            result = {a.names[k]: format_scalar(c) for k, c in plane[j]}
             if result:
                 brackets.append(
                     {"left": a.names[i], "right": a.names[j], "result": result}

@@ -8,6 +8,7 @@ import pytest
 
 from colorlie import catalog
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
+from colorlie.derivations import derivation_color_algebra, n_derivation_space
 from colorlie.errors import (
     DimensionMismatch,
     NonHomogeneous,
@@ -224,8 +225,8 @@ def test_antisymmetry_exhaustive(algebras):
         for i in range(a.dim):
             for j in range(a.dim):
                 e = a.bichar.eps(a.degrees[i], a.degrees[j])
-                lhs = a.bracket_of_basis(i, j)
-                rhs = a.bracket_of_basis(j, i)
+                lhs = a.constants[i][j]
+                rhs = a.constants[j][i]
                 assert all((x + e * y) == 0 for x, y in zip(lhs, rhs)), (name, i, j)
 
 
@@ -404,3 +405,62 @@ def test_grading_scan_and_axiom_report_are_copied_when_they_find_something():
     again = a.check_axioms()
     assert a.grading_violations() == expected[0]
     assert (again.grading, again.antisymmetry, again.jacobi) == expected
+
+
+def _built_with_their_grids(monkeypatch):
+    # every algebra the catalog, the data files and osp12's derivation algebra
+    # build, each with the grid its constructor was given
+    built = []
+    init = ColorAlgebra.__init__
+
+    def recording(self, group, bichar, degrees, constants, names=None):
+        init(self, group, bichar, degrees, constants, names=names)
+        built.append((self, constants))
+
+    monkeypatch.setattr(ColorAlgebra, "__init__", recording)
+    for name in catalog.names():
+        catalog.get(name.replace("(N)", "(3)"))
+    for path in sorted(DATA_DIR.glob("*.json")):
+        if path.name != "report_digests.json":
+            parse_algebra(path.read_text(encoding="utf-8"))
+    osp12 = catalog.get("osp12")
+    derivation_color_algebra(osp12, n_derivation_space(osp12, 3))
+    monkeypatch.undo()
+    return built
+
+
+def test_constants_view_equals_the_grid_that_built_the_algebra(monkeypatch):
+    built = _built_with_their_grids(monkeypatch)
+    # the catalog, the seven algebra files, osp12 once more and its derivation algebra
+    assert len(built) == len(catalog.names()) + 7 + 2
+    for a, grid in built:
+        assert a.constants == tuple(
+            tuple(tuple(a.scalar(c) for c in row) for row in plane) for plane in grid
+        ), a
+        assert a.constants is not a.constants
+
+
+def test_an_algebra_rebuilt_from_its_constants_view_is_equal(monkeypatch):
+    for a, _ in _built_with_their_grids(monkeypatch):
+        assert ColorAlgebra(a.group, a.bichar, a.degrees, a.constants, names=a.names) == a
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [
+        [[[0, 0], [0, 0]]],
+        [[[0, 0], [0, 0]]] * 3,
+        [[[0, 0]], [[0, 0], [0, 0]]],
+        [[[0, 0], [0, 0, 0]], [[0, 0], [0, 0]]],
+        [[[0, 0], [0, 0]], [[0], [0, 0]]],
+        [[[0, 0], [0, 0]], [[0, 0], []]],
+        # the shape is checked before any entry is coerced
+        [[["not a scalar", 0], [0, 0]], [[0, 0], [0]]],
+    ],
+    ids=("one_plane", "three_planes", "short_plane", "long_row", "ragged_row", "empty_row", "before_coercion"),
+)
+def test_a_wrong_size_or_ragged_grid_is_refused(constants):
+    group = GradingGroup([])
+    bichar = Bicharacter(group, [])
+    with pytest.raises(DimensionMismatch, match=r"^structure constants must be 2x2x2$"):
+        ColorAlgebra(group, bichar, [group.zero()] * 2, constants)

@@ -3,9 +3,10 @@
 An algebra is a grading group, a bicharacter on it, a degree for each of
 the d basis vectors, and the structure constants c[i][j][k] with
 [e_i, e_j] = sum_k c[i][j][k] e_k. It is built from the full d x d x d
-table and keeps, for ALL ordered pairs (i, j), only the nonzero
-(k, c[i][j][k]) pairs; antisymmetry is something we validate, not assume,
-so bad input files surface instead of being silently symmetrized.
+table, or in the parser from the sparse one, and keeps, for ALL ordered
+pairs (i, j), only the nonzero (k, c[i][j][k]) pairs; antisymmetry is
+something we validate, not assume, so bad input files surface instead of
+being silently symmetrized.
 
 Vectors are plain tuples of CycloScalar of length d. A vector is
 homogeneous when its nonzero coordinates all sit at basis indices of one
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm
 
 from .errors import DimensionMismatch, NonHomogeneous, TooFewArguments, ValidationError
@@ -106,16 +107,8 @@ class ColorAlgebra:
 
     def __init__(self, group: GradingGroup, bichar: Bicharacter, degrees, constants,
                  names=None):
-        if bichar.group != group:
-            raise ValueError("bicharacter is defined on a different group")
-        bc = bichar.validate()
-        if not bc.ok:
-            raise ValueError("invalid bicharacter: " + "; ".join(bc.messages()))
         degrees = tuple(degrees)
         d = len(degrees)
-        for g in degrees:
-            if not isinstance(g, GroupElement) or g.group != group:
-                raise ValueError("basis degrees must be elements of the grading group")
         if len(constants) != d or any(
             len(plane) != d or any(len(row) != d for row in plane)
             for plane in constants
@@ -126,6 +119,26 @@ class ColorAlgebra:
             tuple(tuple((k, c) for k, c in enumerate(_coerce_scalar(x, m) for x in row) if c) for row in plane)
             for plane in constants
         )
+        self._set_up(group, bichar, degrees, nonzero, names)
+
+    @classmethod
+    def _from_table(cls, group, bichar, degrees, table, names=None) -> "ColorAlgebra":
+        """The algebra of a sparse table, read as ``structure_constants_from_table`` reads it."""
+        a = object.__new__(cls)
+        a._set_up(group, bichar, tuple(degrees), _table_pairs(group, bichar, degrees, table, len(degrees)), names)
+        return a
+
+    def _set_up(self, group, bichar, degrees, nonzero, names) -> None:
+        # the checks every algebra passes, then its slots; nonzero is the _nonzero pairs
+        if bichar.group != group:
+            raise ValueError("bicharacter is defined on a different group")
+        bc = bichar.validate()
+        if not bc.ok:
+            raise ValueError("invalid bicharacter: " + "; ".join(bc.messages()))
+        d = len(degrees)
+        for g in degrees:
+            if not isinstance(g, GroupElement) or g.group != group:
+                raise ValueError("basis degrees must be elements of the grading group")
         if names is None:
             names = tuple(f"e{i + 1}" for i in range(d))
         else:
@@ -150,15 +163,7 @@ class ColorAlgebra:
     @property
     def constants(self) -> tuple:
         """The grid c[i][j][k] as nested tuples; built on each read."""
-        zero_row = (self.zero_scalar(),) * self.dim
-
-        def row(pairs) -> tuple:
-            out = list(zero_row)
-            for k, c in pairs:
-                out[k] = c
-            return tuple(out)
-
-        return tuple(tuple(row(pairs) if pairs else zero_row for pairs in plane) for plane in self._nonzero)
+        return _grid(self._nonzero, self.zero_scalar(), self.dim)
 
     # -- scalars and vectors ----------------------------------------------
 
@@ -305,13 +310,16 @@ class ColorAlgebra:
         report = AxiomReport(grading=self.grading_violations())
         d, m, nz = self.dim, self.conductor, self._integer_constants()
         eps = [[self.bichar.exponent(di, dj) for dj in self.degrees] for di in self.degrees]
-        for i, j in product(range(d), repeat=2):
+        # eps(i, j) eps(j, i) = 1 for a valid bicharacter, so the sum at (j, i)
+        # is eps(j, i) times the sum at (i, j): it is decided once per i <= j
+        for i, j in combinations_with_replacement(range(d), 2):
             if nz[i][j] or nz[j][i]:
                 # [e_i, e_j] + eps(i, j) [e_j, e_i], times zeta^(m - e) if that shift is shorter
                 e = eps[i][j]
                 t, s = (0, e) if 2 * e <= m else (m - e, 0)
                 if _nonzero_sum([(t, ((j, (1,)),), nz[i]), (s, ((i, (1,)),), nz[j])], m):
-                    report.antisymmetry.append((i, j))
+                    report.antisymmetry.extend({(i, j), (j, i)})
+        report.antisymmetry.sort()
         # the cyclic sum of (i, j, k) has the same three terms as those of
         # (j, k, i) and (k, i, j), so it is summed once per rotation class, and
         # only for classes with a nonzero product c[y][z][l] c[x][l][p]
@@ -394,35 +402,46 @@ class ColorAlgebra:
         )
 
 
+def _grid(nonzero, zero, dim) -> tuple:
+    zero_row = (zero,) * dim
+
+    def row(pairs) -> tuple:
+        out = list(zero_row)
+        for k, c in pairs:
+            out[k] = c
+        return tuple(out)
+
+    return tuple(tuple(row(pairs) if pairs else zero_row for pairs in plane) for plane in nonzero)
+
+
 def structure_constants_from_table(group, bichar, degrees, table, dim):
     """Build the full constants grid from a sparse {(i, j): {k: scalar}} table.
 
     Only pairs with i < j or i = j need be listed; the complement is filled
     in by eps-antisymmetry. When both orders of a pair are given explicitly,
     the redundant entry is cross-checked and a ValidationError raised on
-    disagreement.
+    disagreement, at the first k that disagrees.
     """
+    return _grid(_table_pairs(group, bichar, degrees, table, dim), CycloScalar.zero(group.exponent), dim)
+
+
+def _table_pairs(group, bichar, degrees, table, dim) -> tuple:
+    # the _nonzero pairs of the table, k read as a list index: entries coerced in the table's order,
+    # then partners filled and redundant pairs cross-checked on the table's own entries
     m = group.exponent
-    zero = CycloScalar.zero(m)
-    grid = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    rows = {}
     for (i, j), result in table.items():
         if not (0 <= i < dim and 0 <= j < dim):
             raise ValidationError(f"bracket indices ({i}, {j}) out of range", (i, j))
-        for k, c in result.items():
-            grid[i][j][k] = _coerce_scalar(c, m)
+        rows[i, j] = {range(dim)[k]: s for k, c in result.items() if (s := _coerce_scalar(c, m))}
     for (i, j) in table:
-        if (j, i) in table:
-            if i < j:
-                e = bichar.eps(degrees[j], degrees[i])
-                for k in range(dim):
-                    if grid[j][i][k] != -(e * grid[i][j][k]):
-                        raise ValidationError(
-                            f"brackets ({i},{j}) and ({j},{i}) violate antisymmetry at k={k}",
-                            (j, i, k),
-                        )
-        elif i != j:
-            e = bichar.eps(degrees[j], degrees[i])
-            for k in range(dim):
-                if grid[i][j][k]:
-                    grid[j][i][k] = -(e * grid[i][j][k])
-    return tuple(tuple(tuple(row) for row in plane) for plane in grid)
+        e = bichar.eps(degrees[j], degrees[i])
+        if (j, i) not in table:  # so i != j
+            rows[j, i] = {k: -(e * c) for k, c in rows[i, j].items()}
+        elif i < j:
+            row, partner = rows[i, j], rows[j, i]
+            for k in sorted(row.keys() | partner.keys()):
+                if partner.get(k, 0) != -(e * row.get(k, 0)):
+                    message = f"brackets ({i},{j}) and ({j},{i}) violate antisymmetry at k={k}"
+                    raise ValidationError(message, (j, i, k))
+    return tuple(tuple(tuple(sorted(rows.get((i, j), {}).items())) for j in range(dim)) for i in range(dim))

@@ -25,7 +25,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .algebra import ColorAlgebra, structure_constants_from_table
+from .algebra import ColorAlgebra
 from .errors import ArityMismatch, ParseError, ValidationError
 from .grading import Bicharacter, GradingGroup
 from .scalars import format_scalar, parse_scalar
@@ -98,7 +98,6 @@ def algebra_from_dict(doc: dict) -> ColorAlgebra:
             raise ParseError(f"basis[{idx}].degree: {exc}") from exc
         names.append(name)
     index = {name: i for i, name in enumerate(names)}
-    d = len(names)
 
     brackets = doc["brackets"]
     if not isinstance(brackets, list):
@@ -136,8 +135,7 @@ def algebra_from_dict(doc: dict) -> ColorAlgebra:
             )
         table[(i, j)] = parsed
 
-    constants = structure_constants_from_table(group, bichar, degrees, table, d)
-    a = ColorAlgebra(group, bichar, degrees, constants, names=tuple(names))
+    a = ColorAlgebra._from_table(group, bichar, degrees, table, names=tuple(names))
     violations = a.grading_violations()
     if violations:
         i, j, k = violations[0]
@@ -198,11 +196,12 @@ def json_text(obj) -> str:
     one %-template of their sorted keys: the set is shared when every dict
     has as many keys as the first and one ``itemgetter`` pass over the
     first's keys raises no KeyError; otherwise the dicts are grouped by key
-    set. A run of lists of one length fills one %-template of that length,
-    and lists of several lengths are grouped by length. An all-int column
-    or run of items fills the ``%s`` slots as it is, an int's ``%s`` being
-    its JSON text; ``bool`` is not taken for ``int``. Each batch is one
-    write, so the buffer holds few pieces however long the list.
+    set. A run of lists of one length joins each list's item texts, or, all
+    ints, fills one %-template of that length; lists of several lengths are
+    grouped by length. An all-int column or run of items fills the ``%s``
+    slots as it is, an int's ``%s`` being its JSON text; ``bool`` is not
+    taken for ``int``. Each batch is one write, so the buffer holds few
+    pieces however long the list.
     """
     out = io.StringIO()
     _write(obj, out, "\n")
@@ -274,10 +273,14 @@ def _texts(objs, newline: str) -> list:
         n = lengths.pop()
         if not n:
             return ["[]"] * len(objs)
-        # the items of all the lists, rendered together, then n per template fill;
-        # the template is not cached, which would keep one as long as the longest list
-        items = _slots(list(chain.from_iterable(objs)), inner)
-        template = "[" + inner + ("," + inner).join(["%s"] * n) + newline + "]"
+        # the items of all the lists, rendered together, then n per list: raw ints fill a
+        # template, not cached (it would keep one as long as the longest list); texts are joined
+        items = list(chain.from_iterable(objs))
+        slots = _slots(items, inner)
+        sep = "," + inner
+        if slots is not items:
+            return ["[" + inner + sep.join(row) + newline + "]" for row in zip(*[iter(slots)] * n)]
+        template = "[" + inner + sep.join(["%s"] * n) + newline + "]"
         return list(map(template.__mod__, zip(*[iter(items)] * n)))
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 

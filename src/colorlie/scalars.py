@@ -16,8 +16,8 @@ numerators to one common denominator and divides by one gcd. An inverse
 runs a primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1;
 Collins, J. ACM 14, 1967): the half-extended Euclidean algorithm on integer
 polynomials, each step one pseudo-division followed by division by the
-content. The read-only ``coeffs`` property is the only rational view: it
-gives the value back as phi(m) ``Fraction`` coefficients. A sum of products
+content. The read-only ``coeffs`` property gives the value back as phi(m)
+``Fraction`` coefficients; no module of the package reads it. A sum of products
 that is only tested for zero skips the class: ``_add_product`` adds
 x^t * a * b into one integer polynomial, so a twist by zeta^t is a shift by
 t, and ``_nonzero_sum`` decides the whole sum with one ``_reduce_int``.
@@ -32,9 +32,11 @@ No floating point is used anywhere.
 
 Arithmetic results are built by the private ``_trusted`` (through
 ``_normalized`` where a common factor may remain), which stores the
-integer form as it is; outside input goes through ``CycloScalar(m,
-coeffs)``, which reads ``Fraction``s, clears their denominators with one
-lcm and reduces the integer numerators.
+integer form as it is. Outside input goes through ``CycloScalar(m,
+coeffs)``, which reads ``Fraction``s, or ``parse_scalar``, which reads
+each term's p/q as two ints; both clear the denominators with one lcm
+and reduce on integers. ``format_scalar`` reads each coefficient with
+one gcd, so the text format makes no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -443,36 +445,42 @@ def parse_scalar(text: str, conductor: int = 1) -> CycloScalar:
         raise ParseError(f"malformed scalar: {text!r}")
     terms.append((sign, "".join(buf)))
 
-    coeffs: dict[int, Fraction] = {}
+    parsed, den = [], 1
     for sgn, term in terms:
         m = _TERM_RE.match(term)
         if m is None:
             raise ParseError(f"malformed scalar term: {term!r} in {text!r}")
         has_z = m.group("zc") is not None or m.group("z") is not None
         try:
-            c = Fraction(m.group("coeff") or 1)
+            p, _, q = (m.group("coeff") or "1").partition("/")
+            p, q = int(p), int(q or 1)
+            if not q:
+                raise ZeroDivisionError(f"Fraction({p}, 0)")  # fractions.Fraction's text
             k = int(m.group("kc") or m.group("k") or 1) if has_z else 0
         except (ValueError, ZeroDivisionError) as exc:  # 1/0, or too many digits
             raise ParseError(f"bad scalar term {term!r}: {exc}") from exc
         k %= conductor  # zeta_m^m = 1, so the vector below stays shorter than m
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sgn * c
-    top = max(coeffs) if coeffs else 0
-    vec = [coeffs.get(i, Fraction(0)) for i in range(top + 1)]
-    return CycloScalar(conductor, vec)
+        parsed.append((k, sgn * p, q))
+        den = lcm(den, q)
+    num = [0] * (max(k for k, _, _ in parsed) + 1)
+    for k, p, q in parsed:
+        num[k] += p * (den // q)
+    return _normalized(conductor, _reduce_int(num, conductor), den)
 
 
 def format_scalar(s: CycloScalar) -> str:
     """Emit the canonical reduced form, terms in decreasing degree of z."""
-    coeffs = s.coeffs
+    num, den = s.num, s.den
     parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
+    for k in range(len(num) - 1, -1, -1):
+        c = num[k]
         if not c:
             continue
-        mag = abs(c)
+        g = gcd(c, den)
+        mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
         if k == 0:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "z" if k == 1 else f"z^{k}"
         else:
             body = f"{mag}*z" if k == 1 else f"{mag}*z^{k}"

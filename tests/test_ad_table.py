@@ -167,8 +167,8 @@ def _reference_misses(space, p):
 def _bare_ad_grid(a, x):
     # ad x read off all d^3 constants, with no support check and no use of the
     # nonzero-constant lists: M[k][j] = sum_i x_i c[i][j][k]
-    r = range(a.dim)
-    return [[sum((x[i] * a.constants[i][j][k] for i in r), a.zero_scalar()) for j in r] for k in r]
+    r, c = range(a.dim), a.constants
+    return [[sum((x[i] * c[i][j][k] for i in r), a.zero_scalar()) for j in r] for k in r]
 
 
 def _grid_reference_misses(space, p):

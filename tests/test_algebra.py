@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from colorlie import catalog
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
@@ -222,11 +224,12 @@ def test_center_inside_centralizers(algebras):
 
 def test_antisymmetry_exhaustive(algebras):
     for name, a in algebras.items():
+        constants = a.constants
         for i in range(a.dim):
             for j in range(a.dim):
                 e = a.bichar.eps(a.degrees[i], a.degrees[j])
-                lhs = a.constants[i][j]
-                rhs = a.constants[j][i]
+                lhs = constants[i][j]
+                rhs = constants[j][i]
                 assert all((x + e * y) == 0 for x, y in zip(lhs, rhs)), (name, i, j)
 
 
@@ -255,6 +258,92 @@ def test_table_fill_and_cross_check():
         structure_constants_from_table(
             group, bichar, degrees, {(0, 1): {1: 1}, (1, 0): {1: 1}}, 2
         )
+
+
+def _reference_table_grid(group, bichar, degrees, table, dim):
+    # structure_constants_from_table as it filled a dense grid over every k
+    m = group.exponent
+    zero = CycloScalar.zero(m)
+    grid = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), result in table.items():
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValidationError(f"bracket indices ({i}, {j}) out of range", (i, j))
+        for k, c in result.items():
+            grid[i][j][k] = c if isinstance(c, CycloScalar) else CycloScalar.from_rational(c, m)
+    for (i, j) in table:
+        if (j, i) in table:
+            if i < j:
+                e = bichar.eps(degrees[j], degrees[i])
+                for k in range(dim):
+                    if grid[j][i][k] != -(e * grid[i][j][k]):
+                        raise ValidationError(
+                            f"brackets ({i},{j}) and ({j},{i}) violate antisymmetry at k={k}",
+                            (j, i, k),
+                        )
+        elif i != j:
+            e = bichar.eps(degrees[j], degrees[i])
+            for k in range(dim):
+                if grid[i][j][k]:
+                    grid[j][i][k] = -(e * grid[i][j][k])
+    return grid
+
+
+def _pairs_of(grid):
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane) for plane in grid)
+
+
+def _table_outcome(build):
+    try:
+        return build()
+    except ValidationError as exc:
+        return type(exc), str(exc), exc.location
+
+
+@lru_cache(maxsize=None)
+def _table_setting(name):
+    # gradings with conductors 2, 3 and 30, and the trivial one
+    if name in ("osp12", "heis3"):
+        return catalog.get(name)
+    return parse_algebra((DATA_DIR / f"{name}.json").read_text(encoding="utf-8"))
+
+
+@st.composite
+def _bracket_tables(draw):
+    # entries on random pairs, some out of range, and the swapped partners of
+    # some of them: exact, or moved at one k so that the cross-check fails
+    a = _table_setting(draw(st.sampled_from(("osp12", "torus3", "colorSl2z15", "heis3"))))
+    d, m = a.dim, a.conductor
+    values = st.one_of(
+        st.integers(-3, 3),
+        st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+        st.builds(CycloScalar.root, st.just(m), st.integers(0, m - 1)),
+    )
+    entries = st.dictionaries(st.integers(0, d - 1), values, max_size=3)
+    table = draw(st.dictionaries(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)), entries, max_size=6))
+    for (i, j), result in list(table.items()):
+        if draw(st.booleans()):
+            e = a.bichar.eps(a.degrees[j], a.degrees[i])
+            partner = {k: -(e * a.scalar(c)) for k, c in result.items()}
+            if draw(st.booleans()):
+                k = draw(st.integers(0, d - 1))
+                partner[k] = partner.get(k, a.zero_scalar()) + draw(values)
+            table.setdefault((j, i), partner)
+    if draw(st.integers(0, 9)) == 5:
+        table[draw(st.sampled_from(((-1, 0), (0, d), (d, d - 1))))] = draw(entries)
+    return a, table
+
+
+@given(_bracket_tables())
+def test_sparse_table_pairs_equal_the_grid_of_the_table(case):
+    # the parser's entry builds the pairs with no grid; the grid of
+    # structure_constants_from_table and the dense reference fill agree with it,
+    # and a failed cross-check gives the same message and location on all three
+    a, table = case
+    group, bichar, degrees, d = a.group, a.bichar, a.degrees, a.dim
+    sparse = _table_outcome(lambda: ColorAlgebra._from_table(group, bichar, degrees, table)._nonzero)
+    grid = _table_outcome(lambda: _pairs_of(structure_constants_from_table(group, bichar, degrees, table, d)))
+    reference = _table_outcome(lambda: _pairs_of(_reference_table_grid(group, bichar, degrees, table, d)))
+    assert sparse == grid == reference
 
 
 def _reference_axiom_lists(a):
@@ -287,12 +376,13 @@ def _reference_axiom_lists(a):
 
 def _assert_report_matches_reference(a):
     report = a.check_axioms()
+    constants = a.constants
     grading = [
         (i, j, k)
         for i in range(a.dim)
         for j in range(a.dim)
         for k in range(a.dim)
-        if a.constants[i][j][k] and a.degrees[k] != a.degrees[i] + a.degrees[j]
+        if constants[i][j][k] and a.degrees[k] != a.degrees[i] + a.degrees[j]
     ]
     assert (report.grading, report.antisymmetry, report.jacobi) == (
         grading,
@@ -307,13 +397,13 @@ def test_axiom_report_matches_reference_loop(algebras):
     rng = random.Random(5)
     for name in ("colorSl2", "osp12"):
         base = algebras[name]
-        d = base.dim
+        d, constants = base.dim, base.constants
         slots = [
             (i, j, k)
             for i in range(d)
             for j in range(d)
             for k in range(d)
-            if base.constants[i][j][k]
+            if constants[i][j][k]
         ]
         slots += [tuple(rng.randrange(d) for _ in range(3)) for _ in range(6)]
         jacobi_hits = 0
@@ -344,8 +434,8 @@ def test_axiom_report_matches_reference_loop_at_conductors_3_and_30(name):
     # every nonzero slot and 30 seeded others, moved by zeta_m and by 1 + zeta_m:
     # the products there are not rational, so the reduction mod Phi_m decides
     base = parse_algebra((DATA_DIR / f"{name}.json").read_text(encoding="utf-8"))
-    d, zeta = base.dim, CycloScalar.root(base.conductor)
-    slots = [s for s in product(range(d), repeat=3) if base.constants[s[0]][s[1]][s[2]]]
+    d, zeta, constants = base.dim, CycloScalar.root(base.conductor), base.constants
+    slots = [s for s in product(range(d), repeat=3) if constants[s[0]][s[1]][s[2]]]
     rng = random.Random(23)
     others = [s for s in product(range(d), repeat=3) if s not in slots]
     slots += rng.sample(others, min(30, len(others)))
@@ -376,11 +466,11 @@ def test_grading_scan_equals_the_brute_force_scan():
     cases = [catalog.get(name.replace("(N)", "(3)")) for name in catalog.names()]
     cases += [sl(4), _misgraded_color_sl2()]
     for a in cases:
-        d = a.dim
+        d, constants = a.dim, a.constants
         brute = [
             (i, j, k)
             for i, j, k in product(range(d), repeat=3)
-            if a.constants[i][j][k] and a.degrees[k] != a.degrees[i] + a.degrees[j]
+            if constants[i][j][k] and a.degrees[k] != a.degrees[i] + a.degrees[j]
         ]
         assert a.grading_violations() == brute, a
     assert cases[-1].grading_violations()
@@ -409,15 +499,23 @@ def test_grading_scan_and_axiom_report_are_copied_when_they_find_something():
 
 def _built_with_their_grids(monkeypatch):
     # every algebra the catalog, the data files and osp12's derivation algebra
-    # build, each with the grid its constructor was given
+    # build, each with the grid its constructor was given; the parser builds
+    # from its sparse table, whose grid is structure_constants_from_table's
     built = []
     init = ColorAlgebra.__init__
+    from_table = ColorAlgebra._from_table
 
     def recording(self, group, bichar, degrees, constants, names=None):
         init(self, group, bichar, degrees, constants, names=names)
         built.append((self, constants))
 
+    def recording_table(group, bichar, degrees, table, names=None):
+        a = from_table(group, bichar, degrees, table, names=names)
+        built.append((a, structure_constants_from_table(group, bichar, degrees, table, a.dim)))
+        return a
+
     monkeypatch.setattr(ColorAlgebra, "__init__", recording)
+    monkeypatch.setattr(ColorAlgebra, "_from_table", staticmethod(recording_table))
     for name in catalog.names():
         catalog.get(name.replace("(N)", "(3)"))
     for path in sorted(DATA_DIR.glob("*.json")):

@@ -82,8 +82,8 @@ def _algebra(name):
 
 def _reference_preimage(a, target):
     # rows indexed by (k, l) row-major, columns by i: entry c[i][l][k]
-    d = a.dim
-    rows = [[a.constants[i][l][k] for i in range(d)] for k in range(d) for l in range(d)]
+    d, c = a.dim, a.constants
+    rows = [[c[i][l][k] for i in range(d)] for k in range(d) for l in range(d)]
     b = [target.matrix[k][l] for k in range(d) for l in range(d)]
     return MatrixExact(a.conductor, rows, cols=d).solve(b)
 

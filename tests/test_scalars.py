@@ -356,3 +356,128 @@ def test_inverse_makes_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert a * b == 1
+
+
+def _reference_parse_scalar(text, conductor=1):
+    # parse_scalar as it read each term's p/q with Fraction: the same term
+    # split and pattern, a Fraction per degree, then the public constructor
+    s = text.strip()
+    if not s:
+        raise ParseError("empty scalar string")
+    terms = []
+    sign, buf = 1, []
+    for ch in s:
+        if ch in "+-" and not buf:
+            if ch == "-":
+                sign = -sign
+        elif ch in "+-" and buf[-1] not in "*^/":
+            terms.append((sign, "".join(buf)))
+            sign, buf = (1 if ch == "+" else -1), []
+        else:
+            buf.append(ch)
+    if not buf:
+        raise ParseError(f"malformed scalar: {text!r}")
+    terms.append((sign, "".join(buf)))
+    coeffs = {}
+    for sgn, term in terms:
+        m = colorlie.scalars._TERM_RE.match(term)
+        if m is None:
+            raise ParseError(f"malformed scalar term: {term!r} in {text!r}")
+        has_z = m.group("zc") is not None or m.group("z") is not None
+        try:
+            c = Fraction(m.group("coeff") or 1)
+            k = int(m.group("kc") or m.group("k") or 1) if has_z else 0
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad scalar term {term!r}: {exc}") from exc
+        k %= conductor
+        coeffs[k] = coeffs.get(k, Fraction(0)) + sgn * c
+    top = max(coeffs) if coeffs else 0
+    return CycloScalar(conductor, [coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+
+
+def _reference_format_scalar(s):
+    # format_scalar as it read the coeffs view of phi(m) Fractions
+    coeffs = s.coeffs
+    parts = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        elif mag == 1:
+            body = "z" if k == 1 else f"z^{k}"
+        else:
+            body = f"{mag}*z" if k == 1 else f"{mag}*z^{k}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"
+
+
+def _outcome(parse, text, m):
+    try:
+        s = parse(text, m)
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+    return s.num, s.den
+
+
+# texts over the grammar's alphabet, and texts that are terms of the grammar
+_TEXT_CONDUCTORS = (1, 2, 3, 4, 12, 30, 60)
+_grammar_texts = st.text(alphabet="0123456789/+-*^z ", max_size=24)
+_term_texts = st.lists(
+    st.tuples(
+        st.sampled_from(("", "-", "+", "--", " - ")),
+        st.sampled_from(("", "0", "1", "2", "7", "12", "1/2", "3/4", "0/5", "1/0", "06/4", "120/36")),
+        st.sampled_from(("", "z", "z^0", "z^2", "z^5", "z^29", "z^61", "z^1000000007")),
+    ),
+    min_size=1,
+    max_size=5,
+).map(lambda terms: " ".join(s + c + ("*" if c and z else "") + z for s, c, z in terms))
+
+
+@given(st.one_of(_grammar_texts, _term_texts), st.sampled_from(_TEXT_CONDUCTORS))
+def test_parse_scalar_equals_the_fraction_reference(text, m):
+    assert _outcome(parse_scalar, text, m) == _outcome(_reference_parse_scalar, text, m)
+
+
+def test_parse_scalar_errors_equal_the_fraction_reference():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    long = "9" * (limit + 1) if limit else "9"
+    for text in ("1/0", "007/0", "0/0", "2*z - 1/0*z^3", "1/0*z^" + long, long, "1/" + long, "z^" + long, "1//2"):
+        for m in (1, 3, 30):
+            assert _outcome(parse_scalar, text, m) == _outcome(_reference_parse_scalar, text, m), text[:20]
+    with pytest.raises(ParseError, match=r"^bad scalar term '1/0': Fraction\(1, 0\)$"):
+        parse_scalar("z+1/0", 3)
+
+
+@given(st.sampled_from(CANONICAL_CONDUCTORS).flatmap(_scalars))
+def test_format_scalar_equals_the_coeffs_reference(s):
+    assert format_scalar(s) == _reference_format_scalar(s)
+
+
+def test_parse_and_format_make_no_fraction(monkeypatch):
+    texts = [
+        ("-3/2*z^7 + 2*z^3 - 1/3*z + 5", 30),
+        ("--1", 3),
+        ("z^2 + z + 2", 3),
+        ("120/36*z^61 - 0/5", 60),
+        ("-7/3", 1),
+    ]
+    calls = []
+
+    def counting_fraction(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(colorlie.scalars, "Fraction", counting_fraction)
+    scalars = [parse_scalar(text, m) for text, m in texts]
+    formatted = [format_scalar(s) for s in scalars]
+    monkeypatch.undo()
+    assert calls == []
+    assert formatted == [_reference_format_scalar(s) for s in scalars]
+    references = [_reference_parse_scalar(text, m) for text, m in texts]
+    assert [(s.num, s.den) for s in scalars] == [(r.num, r.den) for r in references]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 
-from .algebra import ColorAlgebra, structure_constants_from_table
+from .algebra import ColorAlgebra
 from .grading import Bicharacter, GradingGroup
 
 
@@ -21,10 +21,7 @@ def _build(orders, exponents, names, degree_residues, table) -> ColorAlgebra:
     group = GradingGroup(orders)
     bichar = Bicharacter(group, exponents)
     degrees = tuple(group.element(res) for res in degree_residues)
-    constants = structure_constants_from_table(
-        group, bichar, degrees, table, len(names)
-    )
-    algebra = ColorAlgebra(group, bichar, degrees, constants, names=names)
+    algebra = ColorAlgebra._from_table(group, bichar, degrees, table, names=names)
     report = algebra.check_axioms()
     if not report.ok:
         raise RuntimeError("catalog entry fails axioms: " + "; ".join(report.messages()))

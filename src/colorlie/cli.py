@@ -32,7 +32,7 @@ from .derivations import (
     verify_second_statement,
 )
 from .errors import BadArity, ColorLieError, ParseError, PreconditionFailed, ValidationError
-from .fileio import json_text, parse_algebra, serialize_algebra
+from .fileio import Records, json_text, parse_algebra, serialize_algebra
 from .scalars import format_scalar
 
 CLOSURE_TRIALS = 100
@@ -151,19 +151,15 @@ def _cmd_der(a, args, report, lines):
         return [[[format_scalar(c) for c in row] for row in next(maps).matrix] for _ in sub.rows]
 
     residues, (dims, bases) = space._columns(_dim, basis_texts)
-    blocks = [
-        {"degree": deg, "dim": dim, "basis_maps": basis}
-        for deg, dim, basis in zip(residues, dims, bases)
-    ]
     report["n"] = args.n
     report["total_dim"] = space.total_dim
-    report["blocks"] = blocks
+    report["blocks"] = Records._of(("degree", "dim", "basis_maps"), (list(residues), dims, bases))
     report["passed"] = True
     if not args.json:
         # one line per degree: on a large group only worth building when printed
-        for block in blocks:
-            lines.append(f"degree {tuple(block['degree'])}: dim {block['dim']}")
-            for idx, mat in enumerate(block["basis_maps"]):
+        for degree, dim, basis in zip(*report["blocks"].columns):
+            lines.append(f"degree {tuple(degree)}: dim {dim}")
+            for idx, mat in enumerate(basis):
                 lines.append(f"  basis map {idx + 1}:")
                 lines.extend("    [" + ", ".join(row) + "]" for row in mat)
         lines.append(f"total dim: {space.total_dim}")

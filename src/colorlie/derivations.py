@@ -64,6 +64,7 @@ from .errors import (
     NotClosed,
     PreconditionFailed,
 )
+from .fileio import Records
 from .grading import GroupElement
 from .linalg import Subspace, _kernel_from_pairs, _pairs, _sorted_pairs, kernel_from_rows
 from .scalars import CycloScalar, _nonzero_sum
@@ -746,10 +747,7 @@ class TheoremPart1Report:
             "is_perfect": self.is_perfect,
             "center_dim": self.center_dim,
             "preconditions_hold": self.preconditions_hold,
-            "blocks": [
-                {"degree": deg, "der_dim": dd, "nder_dim": nd, "equal": eq}
-                for deg, dd, nd, eq in self.block_dims
-            ],
+            "blocks": Records(("degree", "der_dim", "nder_dim", "equal"), self.block_dims),
             "equal": self.equal,
             "der_total": self.der_total,
             "nder_total": self.nder_total,
@@ -814,10 +812,7 @@ class SecondStatementReport:
         return {
             "n": self.n,
             "derivation_algebra_dim": self.derivation_algebra_dim,
-            "blocks": [
-                {"degree": deg, "inner_dim": idim, "nder_dim": nd, "equal": eq}
-                for deg, idim, nd, eq in self.block_dims
-            ],
+            "blocks": Records(("degree", "inner_dim", "nder_dim", "equal"), self.block_dims),
             "equal": self.equal,
             "inner_total": self.inner_total,
             "nder_total": self.nder_total,
@@ -977,7 +972,7 @@ class CentralizerReport:
     def to_jsonable(self) -> dict:
         return {
             "n": self.n,
-            "blocks": [{"degree": deg, "dim": dim} for deg, dim in self.block_dims],
+            "blocks": Records(("degree", "dim"), self.block_dims),
             "total_dim": self.total_dim,
         }
 

@@ -186,26 +186,60 @@ def json_text(obj) -> str:
 
     With ``indent`` set the stdlib falls back to its pure-Python encoder;
     this writer gives the same text for dict (with str keys), list, tuple,
-    str, int, bool and None, escaping strings with the C
-    ``encode_basestring_ascii``, and raises TypeError on any other type,
-    subclasses of str and int included.
+    str, int, bool and None, and for a ``Records`` that of its list of dicts,
+    escaping strings with the C ``encode_basestring_ascii``; it raises
+    TypeError on any other type, subclasses of str and int included.
 
-    Dicts, and lists that hold containers, are streamed into one buffer.
-    Every item of such a list is rendered whole, a batch of items at a time
-    and value by value across the batch. Dicts that share a key set fill
-    one %-template of their sorted keys: the set is shared when every dict
-    has as many keys as the first and one ``itemgetter`` pass over the
-    first's keys raises no KeyError; otherwise the dicts are grouped by key
-    set. A run of lists of one length joins each list's item texts, or, all
+    Dicts, Records and lists that hold containers are streamed into one
+    buffer. Every item of such a list is rendered whole, a batch of items at
+    a time and value by value across the batch. Dicts that share a key set
+    fill one %-template of their sorted keys, as a Records fills it from its
+    columns: the set is shared when every dict has as many keys as the first
+    and one ``itemgetter`` pass over the first's keys raises no KeyError;
+    otherwise the dicts are grouped by key set. A run of lists (or of Records,
+    as lists of dicts) of one length joins each list's item texts, or, all
     ints, fills one %-template of that length; lists of several lengths are
     grouped by length. An all-int column or run of items fills the ``%s``
     slots as it is, an int's ``%s`` being its JSON text; ``bool`` is not
-    taken for ``int``. Each batch is one write, so the buffer holds few
-    pieces however long the list.
+    taken for ``int``. Each batch is one write, so the buffer holds few pieces.
     """
     out = io.StringIO()
     _write(obj, out, "\n")
     return out.getvalue()
+
+
+class Records:
+    """A list of dicts that share ``keys`` (one or more, none twice), held as one
+    column per key: built from rows, or by ``_of`` from unchecked columns, in ``keys`` order.
+    """
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys, rows):
+        self.keys = tuple(keys)
+        if not self.keys or len(set(self.keys)) != len(self.keys):
+            raise ValueError(f"Records needs distinct keys, at least one: {self.keys!r}")
+        self.columns = tuple(zip(*rows, strict=True)) or ((),) * len(self.keys)
+
+    @staticmethod
+    def _of(keys: tuple, columns: tuple) -> "Records":
+        records = object.__new__(Records)
+        records.keys, records.columns = keys, columns
+        return records
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index: slice) -> "Records":
+        if not isinstance(index, slice):
+            raise TypeError("a Records is sliced, not indexed; iterate it for its rows")
+        return Records._of(self.keys, tuple(column[index] for column in self.columns))
+
+    def __iter__(self):
+        return (dict(zip(self.keys, row, strict=True)) for row in zip(*self.columns))
+
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, Records) else other)
 
 
 # the leaf types, exactly (subclasses are refused), and their text
@@ -230,19 +264,24 @@ def _write(obj, out, newline: str) -> None:
             out.write(piece)
             _write(value, out, inner)
         out.write(pieces[-1])
-    elif isinstance(obj, (list, tuple)) and not set(map(type, obj)) <= _LEAVES.keys():
+    elif isinstance(obj, Records) or (
+        isinstance(obj, (list, tuple)) and not set(map(type, obj)) <= _LEAVES.keys()
+    ):
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
         for start in range(0, len(obj), _BATCH):
             out.write(sep + comma.join(_texts(obj[start:start + _BATCH], inner)))
             sep = comma
-        out.write(newline + "]")
+        out.write(newline + "]" if len(obj) else "[]")
     else:
         out.write(_texts((obj,), newline)[0])
 
 
 def _texts(objs, newline: str) -> list:
     """The text of each of objs, values at the same indentation."""
+    if isinstance(objs, Records):
+        template, _, values = _dict_template(frozenset(objs.keys), newline)
+        return _fill(template, values(dict(zip(objs.keys, objs.columns, strict=True))), newline + "  ")
     types = set(map(type, objs))
     if len(types) != 1:
         return _grouped_texts(objs, newline, type)
@@ -263,10 +302,8 @@ def _texts(objs, newline: str) -> list:
         except KeyError:
             # as many keys as the first dict, but not the same ones
             return _grouped_texts(objs, newline, frozenset)
-        # one column of slot values per key, then one template fill per dict
-        columns = [_slots(column, inner) for column in zip(*rows)]
-        return list(map(template.__mod__, zip(*columns)))
-    if issubclass(kind, (list, tuple)):
+        return _fill(template, zip(*rows), inner)
+    if issubclass(kind, (list, tuple, Records)):
         lengths = set(map(len, objs))
         if len(lengths) != 1:
             return _grouped_texts(objs, newline, len)
@@ -283,6 +320,11 @@ def _texts(objs, newline: str) -> list:
         template = "[" + inner + sep.join(["%s"] * n) + newline + "]"
         return list(map(template.__mod__, zip(*[iter(items)] * n)))
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _fill(template: str, columns, newline: str) -> list:
+    """One fill of template per row: a column of slot values per key, in the template's order."""
+    return list(map(template.__mod__, zip(*[_slots(column, newline) for column in columns])))
 
 
 def _slots(objs, newline: str) -> list:

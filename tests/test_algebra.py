@@ -351,12 +351,13 @@ def _reference_axiom_lists(a):
     d = a.dim
     eps = a.bichar.eps
     basis = [a.basis_vector(i) for i in range(d)]
+    # the basis brackets [e_i, e_j], evaluated once; the outer brackets below are evaluated in full
+    inner = [[a.bracket(x, y) for y in basis] for x in basis]
     antisymmetry = [
         (i, j)
         for i in range(d)
         for j in range(d)
-        if a.bracket(basis[i], basis[j])
-        != tuple(-(eps(a.degrees[i], a.degrees[j]) * c) for c in a.bracket(basis[j], basis[i]))
+        if inner[i][j] != tuple(-(eps(a.degrees[i], a.degrees[j]) * c) for c in inner[j][i])
     ]
     jacobi = []
     for i in range(d):
@@ -364,11 +365,11 @@ def _reference_axiom_lists(a):
             for k in range(d):
                 x, y, z = basis[i], basis[j], basis[k]
                 terms = (
-                    (eps(a.degrees[k], a.degrees[i]), a.bracket(x, a.bracket(y, z))),
-                    (eps(a.degrees[i], a.degrees[j]), a.bracket(y, a.bracket(z, x))),
-                    (eps(a.degrees[j], a.degrees[k]), a.bracket(z, a.bracket(x, y))),
+                    (eps(a.degrees[k], a.degrees[i]), a.bracket(x, inner[j][k])),
+                    (eps(a.degrees[i], a.degrees[j]), a.bracket(y, inner[k][i])),
+                    (eps(a.degrees[j], a.degrees[k]), a.bracket(z, inner[i][j])),
                 )
-                total = [sum((t * v[p] for t, v in terms), a.zero_scalar()) for p in range(d)]
+                total = [sum((t * v[p] for t, v in terms if v[p]), a.zero_scalar()) for p in range(d)]
                 if any(total):
                     jacobi.append((i, j, k))
     return antisymmetry, jacobi

@@ -5,13 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from colorlie import catalog, cli, fileio
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
 from colorlie.cli import main, run
 from colorlie.errors import ParseError, ValidationError
-from colorlie.fileio import json_text, parse_algebra, serialize_algebra
+from colorlie.fileio import Records, json_text, parse_algebra, serialize_algebra
 
 from test_known_space import _jacobi_breaking_sl2
 
@@ -592,3 +592,88 @@ def test_json_writer_template_cache_stays_bounded():
 def test_json_writer_rejects_other_types(obj):
     with pytest.raises(TypeError):
         json_text(obj)
+
+
+# -- Records: lists of dicts held as columns ----------------------------------
+
+
+def _assert_same_text(got: str, want: str) -> None:
+    # where two long texts part, rather than pytest's diff of them, which can run for minutes
+    if got != want:
+        at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+        start = max(at - 60, 0)
+        pytest.fail(f"texts part at {at}: {got[start:at + 60]!r} != {want[start:at + 60]!r}")
+
+
+# the values of one key: a kind per key, as the per-degree reports have them,
+# or kinds mixed down the column
+_record_kinds = [
+    st.integers(-3, 3),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    # degrees, and basis maps as nested lists of str
+    st.lists(st.integers(0, 59), min_size=2, max_size=2),
+    st.lists(st.lists(st.lists(st.sampled_from(["0", "1", "-z^2 + 1/2", "%s", "é"]), max_size=2), max_size=2), max_size=2),
+]
+_record_kinds.append(st.one_of(*_record_kinds))
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_json_writer_matches_the_stdlib_on_records(data):
+    # keys in drawn order, so unsorted, and keys that need escaping
+    keys = data.draw(st.lists(_json_keys, min_size=1, max_size=4, unique=True), "keys")
+    kinds = [data.draw(st.sampled_from(_record_kinds)) for _ in keys]
+    # a few drawn rows, repeated out to a row count on either side of a batch
+    pool = data.draw(st.lists(st.tuples(*kinds), min_size=1, max_size=8), "pool")
+    count = data.draw(st.sampled_from([0, 1, fileio._BATCH, fileio._BATCH + 1, 600]), "count")
+    rows = [pool[i % len(pool)] for i in range(count)]
+    records = Records(keys, iter(rows))
+    dicts = [dict(zip(keys, row)) for row in rows]
+    assert len(records) == count
+    assert list(records) == dicts and records == dicts and records == Records(keys, rows)
+    one = Records(keys, rows[:1])
+    for obj, plain in (
+        (records, dicts),
+        ({"blocks": records, "n": count}, {"blocks": dicts, "n": count}),
+        ([records, one, records, 0], [dicts, dicts[:1], dicts, 0]),
+    ):
+        _assert_same_text(json_text(obj), json.dumps(plain, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("count", (0, 1, 256, 257, 600))
+def test_records_in_the_report_shape_match_the_stdlib(count):
+    keys = ("dim", "degree", "basis_maps")
+    rows = [(i % 3, [i % 60, i // 60], [[str(i), "0"]] * (i % 2)) for i in range(count)]
+    dicts = [dict(zip(keys, row)) for row in rows]
+    for obj, plain in ((Records(keys, rows), dicts), ({"blocks": Records(keys, rows)}, {"blocks": dicts})):
+        _assert_same_text(json_text(obj), json.dumps(plain, indent=2, sort_keys=True))
+
+
+def test_records_refuse_bad_keys_and_rows():
+    # a key that is not a str: the writer's TypeError, as for a dict
+    for keys in (("a", 1), (None,), (b"a", "b")):
+        with pytest.raises(TypeError):
+            json_text(Records(keys, [(0,) * len(keys)]))
+        with pytest.raises(TypeError):
+            json_text([{"x": Records(keys, [(0,) * len(keys)])}])
+    # no key, or a key twice
+    for keys in ((), ("a", "a"), ("a", "b", "a")):
+        with pytest.raises(ValueError):
+            Records(keys, [])
+    # rows of several lengths
+    with pytest.raises(ValueError):
+        Records(("a", "b"), [(0, 1), (2,)])
+    # sliced, as the writer batches it, but not indexed
+    records = Records(("a",), [(0,), (1,), (2,)])
+    assert records[1:] == [{"a": 1}, {"a": 2}] and records[:0] == []
+    with pytest.raises(TypeError):
+        records[0]
+    # rows of one value for two keys: refused where they are read
+    short = Records(("a", "b"), [(0,), (1,)])
+    with pytest.raises(ValueError):
+        json_text(short)
+    with pytest.raises(ValueError):
+        list(short)

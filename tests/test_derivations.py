@@ -34,9 +34,11 @@ from colorlie.errors import (
     NotClosed,
     PreconditionFailed,
 )
-from colorlie.fileio import parse_algebra, serialize_algebra
+from colorlie.fileio import Records, json_text, parse_algebra, serialize_algebra
 from colorlie.grading import Bicharacter, GradingGroup
 from colorlie.linalg import Subspace, kernel_from_rows
+
+from test_cli import _assert_same_text
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -596,3 +598,53 @@ def test_a_raising_memo_call_keeps_nothing():
         with pytest.raises(PreconditionFailed):
             derivations._ad_factor(a)
     assert set(a._cache) == before
+
+
+# -- the per-degree report lists, held as Records -----------------------------
+
+
+def _part1_display(report) -> list:
+    # the list part 1 gave before Records: one dict per degree
+    return [
+        {"degree": deg, "der_dim": dd, "nder_dim": nd, "equal": eq}
+        for deg, dd, nd, eq in report.block_dims
+    ]
+
+
+def _part2_display(report) -> list:
+    return [
+        {"degree": deg, "inner_dim": idim, "nder_dim": nd, "equal": eq}
+        for deg, idim, nd, eq in report.block_dims
+    ]
+
+
+def _centralizer_display(report) -> list:
+    return [{"degree": deg, "dim": dim} for deg, dim in report.block_dims]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name.replace("(N)", "(3)") for name in catalog.names()] + ["colorSl2z15.json", "cheis3z60.json"],
+)
+@pytest.mark.parametrize("n", (2, 3))
+def test_report_blocks_are_written_as_the_dict_display(name, n, monkeypatch):
+    if name.endswith(".json"):
+        a = parse_algebra((DATA_DIR / name).read_text(encoding="utf-8"))
+    else:
+        a = catalog.get(name)
+    reports = [(verify_nder_equals_der(a, n), _part1_display)]
+    try:
+        reports.append((verify_second_statement(a, n), _part2_display))
+    except PreconditionFailed:
+        assert name not in ("sl2", "colorSl2", "osp12", "colorSl2z15.json"), name
+    with monkeypatch.context() as m:
+        # the lemma refuses an algebra that is not perfect; its per-degree list is what is checked
+        m.setattr(ColorAlgebra, "is_perfect", lambda self: True)
+        reports.append((verify_centralizer_trivial(a, n), _centralizer_display))
+    for report, display in reports:
+        expected = display(report)
+        doc = report.to_jsonable()
+        assert isinstance(doc["blocks"], Records), type(report)
+        assert len(doc["blocks"]) == len(expected) == a.group.size
+        assert doc["blocks"] == expected and list(doc["blocks"]) == expected
+        _assert_same_text(json_text(doc), json.dumps(doc | {"blocks": expected}, indent=2, sort_keys=True))

@@ -153,7 +153,7 @@ def _cmd_der(a, args, report, lines):
     residues, (dims, bases) = space._columns(_dim, basis_texts)
     report["n"] = args.n
     report["total_dim"] = space.total_dim
-    report["blocks"] = Records._of(("degree", "dim", "basis_maps"), (list(residues), dims, bases))
+    report["blocks"] = Records._of(("degree", "dim", "basis_maps"), (residues, dims, bases))
     report["passed"] = True
     if not args.json:
         # one line per degree: on a large group only worth building when printed

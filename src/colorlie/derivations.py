@@ -64,7 +64,7 @@ from .errors import (
     NotClosed,
     PreconditionFailed,
 )
-from .fileio import Records
+from .fileio import Records, Residues
 from .grading import GroupElement
 from .linalg import Subspace, _kernel_from_pairs, _pairs, _sorted_pairs, kernel_from_rows
 from .scalars import CycloScalar, _nonzero_sum
@@ -264,8 +264,10 @@ class DerivationSpace:
         return zip(self.algebra.group.elements(), blocks)
 
     def _columns(self, *fields) -> tuple:
-        """An iterator over the residues of every degree of the group, each a
-        fresh list, in group order; and one list per field over the same degrees.
+        """The residues of every degree of the group in group order, as a
+        ``fileio.Residues`` that yields a fresh list per degree and that
+        ``json_text`` writes with no list rendered one at a time; and one list
+        per field over the same degrees.
 
         A field is called as field(gamma, block) on each support block, in
         group order, and once as field(None, empty) for the shared zero space,
@@ -282,7 +284,7 @@ class DerivationSpace:
                 i = i * order + r
             for column, f in zip(columns, fields):
                 column[i] = f(gamma, sub)
-        return map(list, product(*map(range, group.orders))), columns
+        return Residues(group.orders), columns
 
     def basis_maps(self) -> list:
         """Every block-basis vector as a GradedMap, in canonical order; built once, listed afresh."""
@@ -720,6 +722,11 @@ def _compare_blocks(s: DerivationSpace, t: DerivationSpace) -> tuple:
     return list(zip(residues, s_dims, t_dims, equal)), all(equal)
 
 
+def _degree_records(keys: tuple, orders: tuple, block_dims: list) -> Records:
+    # block_dims as Records, its degree column the group's residues, which json_text writes in runs
+    return Records._of(keys, (Residues(orders),) + Records(keys, block_dims).columns[1:])
+
+
 @dataclass
 class TheoremPart1Report:
     """Whether the n-derivation space coincides with the derivation space."""
@@ -727,6 +734,7 @@ class TheoremPart1Report:
     n: int
     is_perfect: bool
     center_dim: int
+    orders: tuple  # of the grading group, whose degrees block_dims lists in group order
     block_dims: list  # (degree residues, der dim, nder dim, equal)
     equal: bool
     der_total: int
@@ -747,7 +755,7 @@ class TheoremPart1Report:
             "is_perfect": self.is_perfect,
             "center_dim": self.center_dim,
             "preconditions_hold": self.preconditions_hold,
-            "blocks": Records(("degree", "der_dim", "nder_dim", "equal"), self.block_dims),
+            "blocks": _degree_records(("degree", "der_dim", "nder_dim", "equal"), self.orders, self.block_dims),
             "equal": self.equal,
             "der_total": self.der_total,
             "nder_total": self.nder_total,
@@ -776,6 +784,7 @@ def verify_nder_equals_der(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX_
         n=n,
         is_perfect=is_perfect,
         center_dim=center_dim,
+        orders=a.group.orders,
         block_dims=blocks,
         equal=equal,
         der_total=der.total_dim,
@@ -790,6 +799,7 @@ class SecondStatementReport:
 
     n: int
     derivation_algebra_dim: int
+    orders: tuple  # of the grading group, whose degrees block_dims lists in group order
     block_dims: list  # (degree residues, inner dim, nder dim, equal)
     equal: bool
     inner_total: int
@@ -812,7 +822,7 @@ class SecondStatementReport:
         return {
             "n": self.n,
             "derivation_algebra_dim": self.derivation_algebra_dim,
-            "blocks": Records(("degree", "inner_dim", "nder_dim", "equal"), self.block_dims),
+            "blocks": _degree_records(("degree", "inner_dim", "nder_dim", "equal"), self.orders, self.block_dims),
             "equal": self.equal,
             "inner_total": self.inner_total,
             "nder_total": self.nder_total,
@@ -888,6 +898,7 @@ def verify_second_statement(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_MAX
     return SecondStatementReport(
         n=n,
         derivation_algebra_dim=A.dim,
+        orders=A.group.orders,
         block_dims=blocks,
         equal=equal,
         inner_total=inner_A.total_dim,
@@ -962,6 +973,7 @@ class CentralizerReport:
     """Dimension of the solution space of [D, ad e_j] = 0 inside each nDer block."""
 
     n: int
+    orders: tuple  # of the grading group, whose degrees block_dims lists in group order
     block_dims: list = field(default_factory=list)  # (degree residues, dim)
     total_dim: int = 0
 
@@ -972,7 +984,7 @@ class CentralizerReport:
     def to_jsonable(self) -> dict:
         return {
             "n": self.n,
-            "blocks": Records(("degree", "dim"), self.block_dims),
+            "blocks": _degree_records(("degree", "dim"), self.orders, self.block_dims),
             "total_dim": self.total_dim,
         }
 
@@ -995,7 +1007,7 @@ def verify_centralizer_trivial(a: ColorAlgebra, n: int, *, max_n: int = DEFAULT_
         return kernel_from_rows(rows, r, a.conductor).dim
 
     residues, (dims,) = nder._columns(kernel_dim)
-    return CentralizerReport(n, list(zip(residues, dims)), sum(dims))
+    return CentralizerReport(n, a.group.orders, list(zip(residues, dims)), sum(dims))
 
 
 @dataclass

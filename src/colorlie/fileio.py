@@ -21,9 +21,10 @@ from __future__ import annotations
 import io
 import json
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, count, islice, product, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from math import prod
+from operator import add, is_not, itemgetter, sub
 
 from .algebra import ColorAlgebra
 from .errors import ArityMismatch, ParseError, ValidationError
@@ -193,15 +194,21 @@ def json_text(obj) -> str:
     Dicts, Records and lists that hold containers are streamed into one
     buffer. Every item of such a list is rendered whole, a batch of items at
     a time and value by value across the batch. Dicts that share a key set
-    fill one %-template of their sorted keys, as a Records fills it from its
-    columns: the set is shared when every dict has as many keys as the first
-    and one ``itemgetter`` pass over the first's keys raises no KeyError;
-    otherwise the dicts are grouped by key set. A run of lists (or of Records,
-    as lists of dicts) of one length joins each list's item texts, or, all
-    ints, fills one %-template of that length; lists of several lengths are
-    grouped by length. An all-int column or run of items fills the ``%s``
-    slots as it is, an int's ``%s`` being its JSON text; ``bool`` is not
-    taken for ``int``. Each batch is one write, so the buffer holds few pieces.
+    fill one %-template of their sorted keys: the set is shared when every
+    dict has as many keys as the first and one ``itemgetter`` pass over the
+    first's keys raises no KeyError; otherwise the dicts are grouped by key
+    set. A run of lists (or of Records, as lists of dicts) of one length
+    joins each list's item texts, or, all ints, fills one %-template of that
+    length; lists of several lengths are grouped by length. An all-int
+    column or run of items fills the ``%s`` slots as it is, an int's ``%s``
+    being its JSON text; ``bool`` is not taken for ``int``. Each batch is one
+    write, so the buffer holds few pieces.
+
+    A Records is written in runs: rows whose values other than a ``Residues``
+    column's are the same objects (equal is not enough: 1 and True have
+    different texts) share one rendered row, split around the residue slot
+    into a head and a tail, and the residue texts are joined between them,
+    at most ``_BATCH`` rows per write.
     """
     out = io.StringIO()
     _write(obj, out, "\n")
@@ -211,6 +218,7 @@ def json_text(obj) -> str:
 class Records:
     """A list of dicts that share ``keys`` (one or more, none twice), held as one
     column per key: built from rows, or by ``_of`` from unchecked columns, in ``keys`` order.
+    One column may be a ``Residues``; every other column holds its values.
     """
 
     __slots__ = ("keys", "columns")
@@ -242,6 +250,27 @@ class Records:
         return list(self) == (list(other) if isinstance(other, Records) else other)
 
 
+class Residues:
+    """The residues of every element of the grading group with these ``orders``,
+    in group (mixed-radix) order: a sequence of fresh lists, which ``json_text``
+    writes as a Records column without rendering them one at a time.
+    """
+
+    __slots__ = ("orders",)
+
+    def __init__(self, orders):
+        self.orders = tuple(orders)
+
+    def __len__(self) -> int:
+        return prod(self.orders)
+
+    def __iter__(self):
+        return map(list, product(*map(range, self.orders)))
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+
 # the leaf types, exactly (subclasses are refused), and their text
 _LEAVES = {
     str: encode_basestring_ascii,
@@ -264,9 +293,9 @@ def _write(obj, out, newline: str) -> None:
             out.write(piece)
             _write(value, out, inner)
         out.write(pieces[-1])
-    elif isinstance(obj, Records) or (
-        isinstance(obj, (list, tuple)) and not set(map(type, obj)) <= _LEAVES.keys()
-    ):
+    elif isinstance(obj, Records):
+        _write_records(obj, out, newline)
+    elif isinstance(obj, (list, tuple)) and not set(map(type, obj)) <= _LEAVES.keys():
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
         for start in range(0, len(obj), _BATCH):
@@ -277,11 +306,68 @@ def _write(obj, out, newline: str) -> None:
         out.write(_texts((obj,), newline)[0])
 
 
+def _write_records(records: "Records", out, newline: str) -> None:
+    """Write records as its list of dicts, one row rendered per run of rows."""
+    inner = newline + "  "
+    template, residue, others = _run_template(records.keys, tuple(map(type, records.columns)), inner)
+    columns = [records.columns[i] for i in others]
+    size = len(records if residue is None else records.columns[residue])
+    if set(map(len, columns)) - {size}:
+        raise ValueError("the columns of a Records must be as long as each other")
+    # a run ends where a value other than the residues is not the object of the row before
+    cuts = sorted({i for column in columns for i in compress(count(1), map(is_not, column[1:], column))})
+    starts = [0, *cuts] if size else []
+    lengths = list(map(sub, [*cuts, size], starts))
+    firsts = [[column[i] for i in starts] for column in columns]
+    rows = _fill(template, firsts, inner + "  ") if columns else [template % ()] * len(starts)
+    if residue is None:
+        texts = repeat("")
+    else:
+        texts = starmap(add, product(*_residue_texts(records.columns[residue].orders, inner + "  ")))
+    sep, comma = "[" + inner, "," + inner
+    for row, length in zip(rows, lengths):
+        head, _, tail = row.partition("\0")
+        joint = tail + comma + head
+        while length > 0:
+            out.write(sep + head + joint.join(islice(texts, min(length, _BATCH))) + tail)
+            sep, length = comma, length - _BATCH
+    out.write(newline + "]" if size else "[]")
+
+
+@lru_cache(maxsize=256)
+def _run_template(keys: tuple, types: tuple, newline: str) -> tuple:
+    """The %-template of a dict with these keys at this indentation, for columns of these
+    types: a NUL, which no JSON text holds, stands for the value of the ``Residues``
+    column, or ends the template when there is none. Returns the template, the index of
+    that column (or None), and the indices of the other columns, in sorted key order,
+    whose values fill its ``%s`` slots.
+    """
+    if len(types) != len(keys) or types.count(Residues) > 1:
+        raise ValueError(f"Records needs a column per key, one Residues at most: {keys!r}, {types!r}")
+    _, pieces, _ = _dict_template(frozenset(keys), newline)
+    residue = types.index(Residues) if Residues in types else None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    slots = ["\0" if i == residue else "%s" for i in order] + ["\0" if residue is None else ""]
+    template = "".join(piece.replace("%", "%%") + slot for piece, slot in zip(pieces, slots))
+    return template, residue, tuple(i for i in order if i != residue)
+
+
+@lru_cache(maxsize=16)
+def _residue_texts(orders: tuple, newline: str) -> tuple:
+    """The texts of the residue lists of ``Residues(orders)`` at this indentation, in two
+    parts that ``product`` pairs in group order: over every coordinate but the last, and
+    over the last. That is |G| / (last order) + (last order) strings, kept for a few groups.
+    """
+    if not orders:
+        return ("[]",), ("",)
+    inner = newline + "  "
+    *leading, last = orders
+    prefixes = ["[" + inner + "".join(p) for p in product(*([f"{r},{inner}" for r in range(n)] for n in leading))]
+    return tuple(prefixes), tuple(f"{r}{newline}]" for r in range(last))
+
+
 def _texts(objs, newline: str) -> list:
     """The text of each of objs, values at the same indentation."""
-    if isinstance(objs, Records):
-        template, _, values = _dict_template(frozenset(objs.keys), newline)
-        return _fill(template, values(dict(zip(objs.keys, objs.columns, strict=True))), newline + "  ")
     types = set(map(type, objs))
     if len(types) != 1:
         return _grouped_texts(objs, newline, type)

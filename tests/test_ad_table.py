@@ -91,6 +91,7 @@ def _reference_part1(a, n):
         n=n,
         is_perfect=is_perfect,
         center_dim=center_dim,
+        orders=a.group.orders,
         block_dims=blocks,
         equal=equal,
         der_total=der.total_dim,
@@ -116,7 +117,7 @@ def _reference_centralizer(a, n):
     if not a.is_perfect():
         raise PreconditionFailed("centralizer check needs a perfect algebra")
     nder = derivations.n_derivation_space(a, n)
-    report = CentralizerReport(n=n)
+    report = CentralizerReport(n=n, orders=a.group.orders)
     for gamma, sub in nder.walk():
         basis = [GradedMap.from_block_vector(a, gamma, row) for row in sub.basis.entries]
         rows = [

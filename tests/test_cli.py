@@ -2,6 +2,7 @@ import json
 import time
 from enum import IntEnum
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from colorlie import catalog, cli, fileio
 from colorlie.algebra import ColorAlgebra, structure_constants_from_table
 from colorlie.cli import main, run
 from colorlie.errors import ParseError, ValidationError
-from colorlie.fileio import Records, json_text, parse_algebra, serialize_algebra
+from colorlie.fileio import Records, Residues, json_text, parse_algebra, serialize_algebra
+from colorlie.grading import GradingGroup
 
 from test_known_space import _jacobi_breaking_sl2
 
@@ -677,3 +679,107 @@ def test_records_refuse_bad_keys_and_rows():
         json_text(short)
     with pytest.raises(ValueError):
         list(short)
+
+
+# -- Records with a residue column: written in runs -------------------------
+
+
+@pytest.mark.parametrize("orders", [(), (1,), (5,), (3, 4), (2, 3, 2)])
+def test_residue_column_lists_the_group_in_order(orders):
+    column = Residues(orders)
+    expected = [list(g.residues) for g in GradingGroup(orders).elements()]
+    first, second = list(column), list(column)
+    assert first == second == expected and len(column) == len(expected)
+    # fresh lists on every pass, none shared within a pass either
+    assert all(x is not y for x, y in zip(first, second))
+    assert len(set(map(id, first))) == len(first)
+    records = Records._of(("degree", "dim"), (column, [0] * len(expected)))
+    assert records == [{"degree": degree, "dim": 0} for degree in expected]
+    assert list(records) == [{"degree": degree, "dim": 0} for degree in expected]
+
+
+def test_records_refuse_a_second_residue_column_and_columns_of_other_lengths():
+    for columns in (
+        (Residues((2, 3)), Residues((2, 3))),
+        (Residues((2, 3)), [0] * 5),
+        (Residues((2, 3)), [0] * 7),
+        ([0] * 6, Residues((2, 3)), [0] * 5),
+    ):
+        keys = tuple("abc"[:len(columns)])
+        with pytest.raises(ValueError):
+            json_text(Records._of(keys, columns))
+
+
+# group orders of each rank up to 3, orders of 1 among them
+_group_orders = st.one_of(
+    st.sampled_from([(), (1,), (1, 1), (1, 7), (4, 1, 3)]),
+    st.integers(1, 600).map(lambda k: (k,)),
+    st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+)
+# the values beside a degree: 0, False and None, 1 and True, equal values with other
+# texts; basis maps as nested lists of str; strings with quotes and the template's % and %s
+_run_values = st.one_of(
+    st.integers(-2, 2),
+    st.booleans(),
+    st.none(),
+    st.lists(st.lists(st.sampled_from(["0", "1/2", "%s", "é", "-z^2 + 1"]), max_size=2), max_size=2),
+    st.sampled_from(["", "%", "%s", "%%s", '"', "\\", "é", "\u2028", "\U0001F600"]),
+)
+
+
+def _retyped(value):
+    # 0 and False, 1 and True: equal, with different texts
+    if type(value) is bool:
+        return int(value)
+    return {0: False, 1: True}.get(value, value) if type(value) is int else value
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_json_writer_matches_the_stdlib_on_records_with_a_residue_column(data):
+    orders = data.draw(_group_orders, "orders")
+    size = prod(orders)
+    keys = data.draw(st.lists(_json_keys, min_size=1, max_size=4, unique=True), "keys")
+    at = data.draw(st.integers(0, len(keys) - 1), "residue key")
+    row_values = st.tuples(*[_run_values] * (len(keys) - 1))
+    # one shared zero row, as DerivationSpace._columns prefills its lists, and at drawn
+    # indices rows from a pool: at the ends, either side of a 256-row boundary, anywhere,
+    # over one to three adjacent indices
+    zero = data.draw(row_values, "zero row")
+    rows = [zero] * size
+    # with the zero row retyped, equal to it but written otherwise
+    pool = data.draw(st.lists(row_values, min_size=1, max_size=3), "pool") + [tuple(map(_retyped, zero))]
+    ends = sorted({0, size - 1} | {i for i in (255, 256, 257, 511, 512) if i < size})
+    for _ in range(data.draw(st.integers(0, 6), "rows set")):
+        start = data.draw(st.one_of(st.sampled_from(ends), st.integers(0, size - 1)))
+        stop = min(start + data.draw(st.integers(1, 3)), size)
+        rows[start:stop] = [data.draw(st.sampled_from(pool))] * (stop - start)
+    columns = [list(column) for column in zip(*rows)]
+    records = Records._of(tuple(keys), tuple(columns[:at] + [Residues(orders)] + columns[at:]))
+    degrees = [list(g.residues) for g in GradingGroup(orders).elements()]
+    dicts = [dict(zip(keys, row[:at] + (degree,) + row[at:])) for degree, row in zip(degrees, rows)]
+    assert len(records) == size and records == dicts
+    for obj, plain in (
+        (records, dicts),
+        ({"blocks": records, "n": size}, {"blocks": dicts, "n": size}),
+        ([records, 0, records], [dicts, 0, dicts]),
+    ):
+        _assert_same_text(json_text(obj), json.dumps(plain, indent=2, sort_keys=True))
+
+
+def test_long_records_are_written_a_batch_of_rows_at_a_time():
+    # 90,000 degrees: no write holds more than a batch of rows, so the list is never
+    # held as text all at once
+    dims = [0] * 90_000
+    for i in (0, 1, 255, 256, 70_000, 89_999):
+        dims[i] = 1
+    records = Records._of(("degree", "dim"), (Residues((300, 300)), dims))
+    writes = []
+
+    class Spy:
+        write = writes.append
+
+    fileio._write(records, Spy(), "\n")
+    assert max(text.count('"degree"') for text in writes) <= fileio._BATCH
+    assert json.loads("".join(writes)) == list(records)

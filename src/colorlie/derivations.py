@@ -67,7 +67,7 @@ from .errors import (
 from .fileio import Records, Residues
 from .grading import GroupElement
 from .linalg import Subspace, _kernel_from_pairs, _pairs, _sorted_pairs, kernel_from_rows
-from .scalars import CycloScalar, _nonzero_sum
+from .scalars import CycloScalar, _nonzero_sum, _sub_product
 
 DEFAULT_MAX_N = 4
 
@@ -442,8 +442,7 @@ def _n_derivation_space(a: ColorAlgebra, n: int) -> DerivationSpace:
                     for x, col in by_input[j]:
                         for r, c in table.get(t[:i] + (x,) + t[i + 1:], ()):
                             row = acc[r]
-                            v = row.get(col)
-                            row[col] = -(e * c) if v is None else v - e * c
+                            row[col] = _sub_product(row.get(col), e, c)
                     k = (k + w[j]) % m
                 for r in sorted(acc):
                     yield [(col, v) for col, v in sorted(acc[r].items()) if v]

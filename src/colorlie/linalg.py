@@ -22,7 +22,7 @@ kernels are read off a ``Subspace``.
 from __future__ import annotations
 
 from .errors import AmbientMismatch, DimensionMismatch, NoSolution
-from .scalars import CycloScalar
+from .scalars import CycloScalar, _sub_product
 
 
 def _pairs(row) -> list:
@@ -36,10 +36,10 @@ def _sorted_pairs(acc: dict) -> tuple:
 
 
 def _subtract(row, c, other):
-    # row -= c * other on other's (column, value) pairs; entries that cancel are dropped
+    # row -= c * other on other's (column, value) pairs, each entry by one fused
+    # b - c * v (scalars._sub_product, one gcd at phi(m) = 1); entries that cancel are dropped
     for j, v in other:
-        b = row.pop(j, None)
-        b = -(c * v) if b is None else b - c * v
+        b = _sub_product(row.pop(j, None), c, v)
         if b:
             row[j] = b
 

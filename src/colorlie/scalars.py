@@ -20,7 +20,16 @@ content. The read-only ``coeffs`` property gives the value back as phi(m)
 ``Fraction`` coefficients; no module of the package reads it. A sum of products
 that is only tested for zero skips the class: ``_add_product`` adds
 x^t * a * b into one integer polynomial, so a twist by zeta^t is a shift by
-t, and ``_nonzero_sum`` decides the whole sum with one ``_reduce_int``.
+t, and ``_nonzero_sum`` decides the whole sum with one ``_reduce_int``; at
+m <= 2 it adds plain ints, with zeta_2^t = (-1)^t.
+
+Where phi(m) = 1 (m in {1, 2}) the operators take a one-numerator branch:
+an operand of the same class and conductor skips coercion, and a product or
+sum is lowest-terms rational arithmetic on ``num[0]`` and ``den`` with one
+gcd (Knuth, TAOCP vol. 2, 4.5.1). The entry update b - c * v of elimination
+and row assembly is one private fused operation, ``_sub_product``, which on
+three scalars of one field Q builds one scalar with one gcd and otherwise is
+the operators.
 
 Text format (used in algebra files and CLI output): rationals as ``p/q``
 or ``p``; field elements as polynomials in the symbol ``z`` with rational
@@ -135,9 +144,6 @@ def _reduce_int(work: list[int], m: int) -> tuple[int, ...]:
 
 def _add_product(acc: list, shift: int, a: tuple, b: tuple) -> None:
     # acc += x^shift * a * b on integer coefficients, ascending; acc is long enough
-    if len(a) == len(b) == 1:  # m <= 2
-        acc[shift] += a[0] * b[0]
-        return
     for i, ai in enumerate(a, shift):
         if ai:
             for j, bj in enumerate(b, i):
@@ -147,6 +153,14 @@ def _add_product(acc: list, shift: int, a: tuple, b: tuple) -> None:
 def _nonzero_sum(terms, m: int) -> bool:
     # whether some k of the sum of x^t * u * v over (t, us, rows) in terms, (l, u) in us and (k, v)
     # in rows[l] is nonzero mod Phi_m; u, v are integer numerators, t < m; each k is reduced once
+    if m <= 2:  # one numerator each, and zeta_2^t = (-1)^t: plain int sums
+        acc = {}
+        for t, us, rows in terms:
+            for l, (u,) in us:
+                u = -u if t % 2 else u
+                for k, (v,) in rows[l]:
+                    acc[k] = acc.get(k, 0) + u * v
+        return any(acc.values())
     size = m + 2 * _phi_terms(m)[0] - 2  # x^t times a product of two numerators
     acc = {}
     for t, us, rows in terms:
@@ -235,18 +249,20 @@ class CycloScalar:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _combine(self, o, add)
+        if type(other) is not CycloScalar or other.conductor != self.conductor:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _combine(self, other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _combine(self, o, sub)
+        if type(other) is not CycloScalar or other.conductor != self.conductor:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _combine(self, other, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -258,19 +274,22 @@ class CycloScalar:
         return _trusted(self.conductor, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.num, o.num
-        if len(a) == 1:
-            return _normalized(self.conductor, (a[0] * b[0],), self.den * o.den)
+        if type(other) is not CycloScalar or other.conductor != self.conductor:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        if len(a) == 1:  # a rational field: one product, one gcd
+            n, d = a[0] * b[0], self.den * other.den
+            g = gcd(n, d)
+            return _trusted(self.conductor, (n // g,), d // g)
         prod = [0] * (2 * len(a) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b, i):
                     prod[j] += ai * bj
         return _normalized(
-            self.conductor, _reduce_int(prod, self.conductor), self.den * o.den
+            self.conductor, _reduce_int(prod, self.conductor), self.den * other.den
         )
 
     __rmul__ = __mul__
@@ -404,6 +423,10 @@ def _normalized(conductor: int, num: tuple, den: int) -> CycloScalar:
 def _combine(a: CycloScalar, b: CycloScalar, op) -> CycloScalar:
     # op(a, b) for op in (add, sub), over one common denominator
     da, db = a.den, b.den
+    if len(a.num) == 1:  # a rational field: cross-multiply, then one gcd
+        n, d = op(a.num[0] * db, b.num[0] * da), da * db
+        g = gcd(n, d)
+        return _trusted(a.conductor, (n // g,), d // g)
     if da == db:
         return _normalized(a.conductor, tuple(map(op, a.num, b.num)), da)
     g = gcd(da, db)
@@ -411,6 +434,25 @@ def _combine(a: CycloScalar, b: CycloScalar, op) -> CycloScalar:
     return _normalized(
         a.conductor, tuple(op(x * sa, y * sb) for x, y in zip(a.num, b.num)), da * sa
     )
+
+
+def _sub_product(b, c, v: CycloScalar) -> CycloScalar:
+    # b - c * v, with b None read as zero: the entry update of elimination and
+    # row assembly. b and c may be ints or Fractions of an outside row. Where
+    # all three are scalars of one field Q it builds one scalar with one gcd
+    # from (b.num c.den v.den - c.num v.num b.den) / (b.den c.den v.den)
+    m = v.conductor
+    if len(v.num) > 1 or type(c) is not CycloScalar or c.conductor != m or (
+        b is not None and (type(b) is not CycloScalar or b.conductor != m)
+    ):
+        return -(c * v) if b is None else b - c * v
+    n, d = c.num[0] * v.num[0], c.den * v.den
+    if b is None:
+        n = -n
+    else:
+        n, d = b.num[0] * d - n * b.den, d * b.den
+    g = gcd(n, d)
+    return _trusted(m, (n // g,), d // g)
 
 
 # -- text format ----------------------------------------------------------

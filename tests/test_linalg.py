@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorlie.errors import AmbientMismatch, DimensionMismatch, NoSolution
+from colorlie.errors import AmbientMismatch, ConductorMismatch, DimensionMismatch, NoSolution
 from colorlie.linalg import MatrixExact, Subspace, _pairs, _rref_rows, kernel_from_rows
 from colorlie.scalars import CycloScalar
 
@@ -161,6 +161,27 @@ def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         Subspace.full(2).coordinates_of([(0, one), (2, one)])
     assert Subspace.full(2).coordinates_of([(1, one)]) == [CycloScalar.zero(), one]
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 2), (2, 1), (3, 4)])
+def test_elimination_refuses_scalars_of_another_conductor(m1, m2):
+    # conductors 1 and 2 both hold one numerator, so only the conductor tells them apart
+    one, other = CycloScalar.one(m1), CycloScalar.one(m2)
+    space = Subspace.from_rows(2, [(one, one)], m1)
+    with pytest.raises(ConductorMismatch):
+        space.coordinates_of([(0, other)])
+    with pytest.raises(ConductorMismatch):
+        Subspace.from_rows(2, [(one, one), (other, one)], m1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_int_and_fraction_entries_of_an_outside_row_still_reduce(m):
+    # the fused entry update leaves an int or Fraction value to the operators
+    one = CycloScalar.one(m)
+    space = Subspace.from_rows(2, [(one, 2 * one)], m)
+    assert space.coordinates_of([(0, Fraction(1, 2)), (1, 1)]) == [Fraction(1, 2)]
+    assert space.coordinates_of([(0, 1), (1, 1)]) is None
+    assert _rref_rows([[(0, one), (1, 2)], [(0, Fraction(1, 3)), (1, one)]], 2)[1] == [0, 1]
 
 
 def test_grassmann_identity_fuzz():

@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 import time
@@ -12,6 +13,8 @@ import colorlie.scalars
 from colorlie.errors import ConductorMismatch, NotDivisible, ParseError
 from colorlie.scalars import (
     CycloScalar,
+    _nonzero_sum,
+    _sub_product,
     cyclotomic_polynomial,
     format_scalar,
     parse_scalar,
@@ -118,6 +121,24 @@ def test_lift_not_divisible():
 def test_conductor_mismatch():
     with pytest.raises(ConductorMismatch):
         CycloScalar.root(4, 1) + CycloScalar.root(3, 1)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+@pytest.mark.parametrize("m1, m2", [(1, 2), (2, 1), (3, 4), (4, 3)])
+def test_conductor_mismatch_on_every_operator(op, m1, m2):
+    # conductors 1 and 2 both have phi = 1, so only the conductor tells them apart
+    with pytest.raises(ConductorMismatch):
+        op(CycloScalar.one(m1), CycloScalar.one(m2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_ints_and_fractions_still_coerce(m):
+    a = CycloScalar.root(m, 1) + Fraction(1, 2)
+    assert 2 - a == CycloScalar.from_rational(2, m) - a
+    assert a * Fraction(1, 3) == a * CycloScalar.from_rational(Fraction(1, 3), m)
+    assert 3 * a == CycloScalar.from_rational(3, m) * a
+    for s in (2 - a, a * Fraction(1, 3), 3 * a):
+        assert s.conductor == m
 
 
 def test_inverse_of_zero():
@@ -299,6 +320,42 @@ def test_every_operation_returns_the_canonical_representation(case):
         _assert_canonical(s, m)
     for wider in (m, 2 * m, 3 * m):
         _assert_canonical(a.lift(wider), wider)
+
+
+@given(_scalar_pairs(), st.data())
+def test_sub_product_equals_the_operators(case, data):
+    # the fused entry update of elimination and row assembly, with None read as zero
+    m, b, c, _ = case
+    v = data.draw(_scalars(m))
+    for fused, plain in ((_sub_product(b, c, v), b - c * v), (_sub_product(None, c, v), -(c * v))):
+        assert fused == plain
+        _assert_canonical(fused, m)
+
+
+_drawn_terms = st.lists(
+    st.tuples(st.integers(0, 1), st.lists(st.tuples(st.integers(0, 2), st.integers(-2, 2)), max_size=3)),
+    max_size=4,
+)
+_drawn_rows = st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)), max_size=4), min_size=3, max_size=3
+)
+
+
+@given(st.sampled_from((1, 2)), _drawn_terms, _drawn_rows, st.booleans())
+def test_rational_nonzero_sum_equals_a_fraction_sum(m, drawn, rows, cancel):
+    # at m <= 2 the field is Q, with zeta_1 = 1 and zeta_2 = -1; cancel appends the
+    # negated terms, at m = 2 as the same terms times zeta_2, so that zero sums are drawn too
+    drawn = [(t % m, us) for t, us in drawn]
+    if cancel:
+        drawn += [((t + 1) % 2, us) if m == 2 else (t, [(l, -u) for l, u in us]) for t, us in drawn]
+    zeta = Fraction(-1 if m == 2 else 1)
+    reference = {}
+    for t, us in drawn:
+        for l, u in us:
+            for k, v in rows[l]:
+                reference[k] = reference.get(k, 0) + zeta**t * u * v
+    terms = [(t, [(l, (u,)) for l, u in us], [[(k, (v,)) for k, v in row] for row in rows]) for t, us in drawn]
+    assert _nonzero_sum(terms, m) == any(reference.values())
 
 
 @given(_scalar_pairs())
